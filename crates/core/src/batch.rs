@@ -23,13 +23,17 @@
 //!   windows and per-channel buses, alongside the serial
 //!   [`busy_time`](RunStats::busy_time) — plus the exact bus trace for
 //!   inspection.
-//! * **Functional simulation is host-parallel.** Banks are
-//!   architecturally independent, so each bank's stripes execute on its
-//!   [`SubarrayEngine`](crate::engine::SubarrayEngine)s in a scoped thread
-//!   ([`std::thread::scope`]); results merge deterministically in bank
-//!   order, so outputs are bit-identical to a serial run. Small batches
-//!   (less total word-work than a thread spawn costs) run serially on the
-//!   calling thread instead — same results, no fixed overhead.
+//! * **Functional simulation is host-parallel when it pays.** Banks are
+//!   architecturally independent, so an op's units split into contiguous
+//!   chunks that run on their
+//!   [`SubarrayEngine`](crate::engine::SubarrayEngine)s concurrently: the
+//!   calling thread takes the first chunk and [`std::thread::scope`]
+//!   threads the rest. The number of chunks is bounded by the host's
+//!   threads, the busy units, and the op's total word-work divided by
+//!   what one spawned thread must carry to repay its spawn; most ops get
+//!   one chunk and run serially on the calling thread. Results merge
+//!   deterministically in unit order, so outputs are bit-identical to a
+//!   serial run whatever the fan-out.
 //! * **Striping is word-level and zero-copy.** `store`/`load` move whole
 //!   64-bit word runs between host vectors and the engines' row arenas
 //!   ([`write_row_from`](crate::engine::SubarrayEngine::write_row_from)/
@@ -57,7 +61,11 @@ use elp2im_dram::interleave::Schedule;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Per-unit programs to execute: `(subarray, program)` pairs in plan order,
+/// indexed by flat unit.
+type UnitWork = Vec<Vec<(usize, Arc<Program>)>>;
 
 /// Batch-layer configuration.
 #[derive(Debug, Clone)]
@@ -240,11 +248,40 @@ pub struct DeviceArray {
     last_plan: Option<BatchPlan>,
 }
 
-/// Minimum total word-work (primitives × words per row) before
-/// [`DeviceArray`] spawns per-bank threads; below this the serial path
-/// wins, since a thread spawn costs more than executing a few small
-/// word-loop programs.
-const PARALLEL_MIN_WORDS: usize = 1 << 14;
+/// Minimum word-work (primitives × words per row) each host worker must
+/// carry before [`DeviceArray`] fans an operation out across threads.
+///
+/// Derivation (2-vCPU x86-64 VM): spawning one scoped thread per busy unit
+/// on the 64-unit 4-channel × 2-rank topology cost ≈ 3.2 ms of overhead
+/// per op, i.e. ≈ 50 µs per spawn, while the engine's word loop runs at
+/// ≈ 0.42 ns/word. A spawned worker therefore pays for itself only above
+/// ≈ 50 µs / 0.42 ns ≈ 1.2 · 10^5 words; 2^18 leaves a 2× margin for
+/// join and cache-migration costs. (The previous 2^14 threshold was
+/// ≈ 7 µs of work, less than a single spawn.)
+const PARALLEL_MIN_WORDS: usize = 1 << 18;
+
+/// Host threads available for bank fan-out, read once per process:
+/// [`std::thread::available_parallelism`] reads cgroup files and costs
+/// ≈ 20 µs per call, more than a narrow op's whole word work.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Runs each unit's programs on its engines, units in ascending order,
+/// stopping at the first error.
+fn run_units(
+    units: &mut [BankUnit],
+    work: &[Vec<(usize, Arc<Program>)>],
+    cache: &AnalysisCache,
+) -> Result<(), CoreError> {
+    for (unit, programs) in units.iter_mut().zip(work) {
+        for (subarray, prog) in programs {
+            unit.engines[*subarray].run_verified_cached(prog.as_ref(), cache)?;
+        }
+    }
+    Ok(())
+}
 
 /// The channel-major placement order over flat bank units: slot `i` maps
 /// channel-fastest, then rank, then bank, so consecutive stripes land on
@@ -592,10 +629,7 @@ impl DeviceArray {
         op: LogicOp,
         a: BatchHandle,
         b: Option<BatchHandle>,
-    ) -> Result<
-        (BatchEntry, Vec<Vec<(usize, Arc<Program>)>>, Vec<(TopoPath, Vec<CommandProfile>)>),
-        CoreError,
-    > {
+    ) -> Result<(BatchEntry, UnitWork, Vec<(TopoPath, Vec<CommandProfile>)>), CoreError> {
         let ea = self.entry(a)?.clone();
         if let Some(b) = b {
             let eb = self.entry(b)?;
@@ -606,8 +640,7 @@ impl DeviceArray {
         let eb = b.map(|b| self.entry(b).cloned()).transpose()?;
 
         let mut stripes = Vec::with_capacity(ea.stripes.len());
-        let mut work: Vec<Vec<(usize, Arc<Program>)>> =
-            (0..self.banks.len()).map(|_| Vec::new()).collect();
+        let mut work: UnitWork = (0..self.banks.len()).map(|_| Vec::new()).collect();
         // Streams merge per flat unit in O(log units) — keyed by index,
         // converted to paths once at the end.
         let mut streams: BTreeMap<usize, Vec<CommandProfile>> = BTreeMap::new();
@@ -691,58 +724,44 @@ impl DeviceArray {
         Ok((BatchEntry { len: ea.len, stripes }, work, streams))
     }
 
-    /// Executes every bank's programs on its engines — one scoped thread
-    /// per bank with work when there is enough of it to amortize the
-    /// spawns, serially on the calling thread otherwise. Banks touch
-    /// disjoint state, and results are collected in bank order, so the
-    /// outcome is identical either way.
-    fn run_banks(&mut self, work: Vec<Vec<(usize, Arc<Program>)>>) -> Result<(), CoreError> {
-        let cache = &self.analysis_cache;
+    /// Executes every unit's programs on its engines, fanning out over at
+    /// most [`host_threads`] workers and only as many as the op's total
+    /// word-work pays for ([`PARALLEL_MIN_WORDS`] each). One worker means
+    /// the calling thread runs everything serially.
+    fn run_banks(&mut self, work: &UnitWork) -> Result<(), CoreError> {
         let words_per_row = self.config.topology.geometry.row_bits().div_ceil(64);
-        let total_primitives: usize =
-            work.iter().flatten().map(|(_, prog)| prog.primitives().len()).sum();
-        let busy_banks = work.iter().filter(|programs| !programs.is_empty()).count();
-        if busy_banks <= 1 || total_primitives * words_per_row < PARALLEL_MIN_WORDS {
-            // Serial fast path; banks still run in ascending order, so the
-            // first error reported matches the parallel path's.
-            for (unit, programs) in self.banks.iter_mut().zip(&work) {
-                for (subarray, prog) in programs {
-                    unit.engines[*subarray].run_verified_cached(prog.as_ref(), cache)?;
-                }
-            }
-            return Ok(());
+        let primitives: usize = work.iter().flatten().map(|(_, p)| p.primitives().len()).sum();
+        let busy = work.iter().filter(|programs| !programs.is_empty()).count();
+        let workers = host_threads().min(busy).min(primitives * words_per_row / PARALLEL_MIN_WORDS);
+        self.run_banks_on(work, workers)
+    }
+
+    /// [`DeviceArray::run_banks`] with an explicit worker count: units split
+    /// into `workers` contiguous chunks, the calling thread runs the first
+    /// and `workers − 1` scoped threads the rest. Units touch disjoint
+    /// state and each chunk runs its units in ascending order, stopping at
+    /// its first error; chunk results are then taken in order, so the
+    /// lowest failing unit's error wins for every worker count.
+    fn run_banks_on(&mut self, work: &UnitWork, workers: usize) -> Result<(), CoreError> {
+        let cache = &self.analysis_cache;
+        if workers <= 1 {
+            return run_units(&mut self.banks, work, cache);
         }
-        let results: Vec<Result<(), CoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .banks
-                .iter_mut()
-                .zip(work.iter())
-                .map(|(unit, programs)| {
-                    if programs.is_empty() {
-                        None
-                    } else {
-                        Some(scope.spawn(move || -> Result<(), CoreError> {
-                            for (subarray, prog) in programs {
-                                unit.engines[*subarray]
-                                    .run_verified_cached(prog.as_ref(), cache)?;
-                            }
-                            Ok(())
-                        }))
-                    }
-                })
+        let size = self.banks.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            let mut chunks = self.banks.chunks_mut(size).zip(work.chunks(size));
+            let head = chunks.next();
+            let spawned: Vec<_> = chunks
+                .map(|(units, work)| scope.spawn(move || run_units(units, work, cache)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h {
-                    // A panicking engine thread is a bug in the functional
-                    // model itself; propagate the panic.
-                    Some(h) => h.join().expect("bank engine thread panicked"),
-                    None => Ok(()),
-                })
-                .collect()
-        });
-        // Deterministic error reporting: the lowest failing bank wins.
-        results.into_iter().collect()
+            let first = head.map_or(Ok(()), |(units, work)| run_units(units, work, cache));
+            spawned.into_iter().fold(first, |acc, h| {
+                // A panicking engine thread is a bug in the functional
+                // model itself; propagate the panic.
+                let r = h.join().expect("bank engine thread panicked");
+                acc.and(r)
+            })
+        })
     }
 
     fn run_op(
@@ -762,12 +781,12 @@ impl DeviceArray {
         {
             return Err(CoreError::PlanRejected(err.to_string()));
         }
-        self.run_banks(work)?;
+        self.run_banks(&work)?;
         let schedule = match self.sink.as_mut() {
             Some(sink) => self.scheduler.schedule_traced(&streams, sink.as_mut()),
             None => self.scheduler.schedule(&streams),
         }
-        .map_err(|_| CoreError::InvalidHandle(usize::MAX))?;
+        .map_err(CoreError::Schedule)?;
         let banks_used = streams.len();
         let channels_used = {
             let mut channels: Vec<usize> = streams.iter().map(|(p, _)| p.channel).collect();
@@ -1237,6 +1256,67 @@ mod tests {
         }
         assert!(delivered_clean >= 8, "only {delivered_clean}/10 verified clean");
         assert!(m.reliability_metrics().counter("retries") > 0, "p=0.15 never mismatched");
+    }
+
+    /// Prepares `op(a, b)` and executes it over exactly `workers` chunks
+    /// (bypassing the cost gate), returning the result handle.
+    fn run_on_workers(
+        m: &mut DeviceArray,
+        a: BatchHandle,
+        b: BatchHandle,
+        workers: usize,
+        corrupt: &[(usize, usize)],
+    ) -> Result<BatchHandle, CoreError> {
+        let (entry, mut work, _) = m.prepare(LogicOp::Xor, a, Some(b))?;
+        // `(unit, row)`: that unit's first program reads a never-written
+        // row, which its engine's static check rejects naming the row.
+        for &(unit, row) in corrupt {
+            let (_, prog) = &mut work[unit][0];
+            let rows = Operands { a: row, b: row, dst: row - 1, scratch: None };
+            *prog = Arc::new(compile(LogicOp::And, CompileMode::LowLatency, rows, 1).unwrap());
+        }
+        m.run_banks_on(&work, workers)?;
+        m.vectors.push(Some(entry));
+        Ok(BatchHandle(m.vectors.len() - 1))
+    }
+
+    #[test]
+    fn chunked_fan_out_matches_serial_path() {
+        // 2 ch × 2 r × 2 b = 8 units; 5 stripes go channel-major to units
+        // {0, 4, 2, 6, 1}, leaving 3, 5 and 7 idle. Worker counts 2, 3 and
+        // 8 put chunk boundaries between busy and idle units (e.g. 3
+        // workers: [0 1 2] [3 4 5] [6 7]).
+        const UNITS: usize = 8;
+        let setup = || {
+            let mut m = small_topo(2, 2, 2);
+            let rb = m.row_bits();
+            let mut probs = vec![0.0; rb];
+            probs[3] = 0.4;
+            probs[rb - 2] = 0.25;
+            m.set_fault_models(
+                (0..UNITS).map(|u| Some(ColumnFaultModel::new(0xFA17, u, probs.clone()))).collect(),
+            );
+            let bits = rb * 5 - 7;
+            let a = m.store(&pattern(bits, 3)).unwrap();
+            let b = m.store(&pattern(bits, 5)).unwrap();
+            (m, a, b)
+        };
+        let outcome = |workers: usize, corrupt: &[(usize, usize)]| {
+            let (mut m, a, b) = setup();
+            let result = run_on_workers(&mut m, a, b, workers, corrupt);
+            (result.and_then(|h| m.load(h)), m.injected_flips())
+        };
+        let (serial, serial_flips) = outcome(1, &[]);
+        assert!(serial_flips > 0, "fault models must inject for the comparison to bite");
+        // The first error names the lowest failing unit, not unit 4's row.
+        let (low, _) = outcome(1, &[(1, 30)]);
+        let (high, _) = outcome(1, &[(4, 31)]);
+        assert!(low.is_err() && high.is_err() && low != high);
+        for workers in [1, 2, 3, UNITS] {
+            assert_eq!(outcome(workers, &[]), (serial.clone(), serial_flips), "{workers} workers");
+            let (both, _) = outcome(workers, &[(4, 31), (1, 30)]);
+            assert_eq!(both, low, "{workers} workers");
+        }
     }
 
     #[test]

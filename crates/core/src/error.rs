@@ -2,11 +2,12 @@
 
 use crate::primitive::RowRef;
 use crate::validate::Violation;
+use elp2im_dram::error::DramError;
 use std::error::Error;
 use std::fmt;
 
 /// Errors produced by the functional engine and device layers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
     /// A data-row index exceeded the subarray size.
     RowOutOfRange {
@@ -79,6 +80,9 @@ pub enum CoreError {
     /// execution; the string is the first diagnostic's rendered text (the
     /// concrete counterexample).
     PlanRejected(String),
+    /// The DRAM command scheduler refused the operation's command streams
+    /// (e.g. a stream addressed to a bank outside the module).
+    Schedule(DramError),
 }
 
 impl fmt::Display for CoreError {
@@ -119,11 +123,19 @@ impl fmt::Display for CoreError {
             CoreError::PlanRejected(reason) => {
                 write!(f, "statically invalid plan: {reason}")
             }
+            CoreError::Schedule(e) => write!(f, "command scheduling failed: {e}"),
         }
     }
 }
 
-impl Error for CoreError {}
+impl Error for CoreError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            CoreError::Schedule(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<Violation> for CoreError {
     fn from(v: Violation) -> Self {
@@ -143,6 +155,29 @@ mod tests {
         assert!(format!("{e}").contains("decoder"));
         let e = CoreError::WidthMismatch { expected: 64, got: 32 };
         assert!(format!("{e}").contains("64"));
+    }
+
+    #[test]
+    fn scheduler_errors_keep_their_cause() {
+        use elp2im_dram::command::CommandProfile;
+        use elp2im_dram::constraint::PumpBudget;
+        use elp2im_dram::controller::Controller;
+        use elp2im_dram::timing::Ddr3Timing;
+        // A real scheduler refusal, mapped the way the device layers map it.
+        let ap = CommandProfile::ap(&Ddr3Timing::ddr3_1600());
+        let e = Controller::new(2, PumpBudget::unconstrained())
+            .run_streams(&[(5, vec![ap])])
+            .map_err(CoreError::Schedule)
+            .unwrap_err();
+        let cause = DramError::BankOutOfRange { bank: 5, banks: 2 };
+        assert_eq!(e, CoreError::Schedule(cause.clone()));
+        assert_eq!(
+            format!("{e}"),
+            "command scheduling failed: bank 5 out of range (module has 2 banks)"
+        );
+        let source = e.source().expect("scheduler errors expose their cause");
+        assert_eq!(source.to_string(), cause.to_string());
+        assert!(CoreError::ScratchRowRequired.source().is_none());
     }
 
     #[test]

@@ -244,10 +244,7 @@ impl Elp2imModule {
     /// Handle, capacity, and compilation errors.
     pub fn not(&mut self, a: VecHandle) -> Result<(VecHandle, RunStats), CoreError> {
         let (h, streams) = self.prepare_op(LogicOp::Not, a, None)?;
-        let stats = self
-            .controller
-            .run_streams(&streams)
-            .map_err(|_| CoreError::InvalidHandle(usize::MAX))?;
+        let stats = self.controller.run_streams(&streams).map_err(CoreError::Schedule)?;
         Ok((h, stats))
     }
 
@@ -342,10 +339,7 @@ impl Elp2imModule {
         b: VecHandle,
     ) -> Result<(VecHandle, RunStats), CoreError> {
         let (h, streams) = self.prepare_op(op, a, Some(b))?;
-        let stats = self
-            .controller
-            .run_streams(&streams)
-            .map_err(|_| CoreError::InvalidHandle(usize::MAX))?;
+        let stats = self.controller.run_streams(&streams).map_err(CoreError::Schedule)?;
         Ok((h, stats))
     }
 
@@ -434,10 +428,7 @@ impl Elp2imModule {
                 }
                 handles.insert(node, h);
             }
-            let stats = self
-                .controller
-                .run_streams(&level_streams)
-                .map_err(|_| CoreError::InvalidHandle(usize::MAX))?;
+            let stats = self.controller.run_streams(&level_streams).map_err(CoreError::Schedule)?;
             // Levels execute one after another: sequential composition.
             total.merge_sequential(&stats);
         }

@@ -356,6 +356,46 @@ fn step_writes(prog: &Program) -> BTreeSet<PhysRow> {
     out
 }
 
+/// One value per distinct program of a plan (by [`Arc`] identity), plus
+/// each step's index into them.
+struct PerProgram<T> {
+    values: Vec<T>,
+    of_step: Vec<usize>,
+}
+
+impl<T> PerProgram<T> {
+    /// The value of step `k`'s program.
+    fn step(&self, k: usize) -> &T {
+        &self.values[self.of_step[k]]
+    }
+}
+
+/// Computes `f` once per distinct program of `steps`. Consecutive steps
+/// mostly share one program, so only a change of program costs a lookup.
+fn per_program<T>(steps: &[PlanStep], mut f: impl FnMut(&Program) -> T) -> PerProgram<T> {
+    let mut values = Vec::new();
+    let mut index_of: HashMap<*const Program, usize> = HashMap::new();
+    let mut last = None;
+    let of_step = steps
+        .iter()
+        .map(|step| {
+            let id = Arc::as_ptr(&step.program);
+            match last {
+                Some((prev, i)) if prev == id => i,
+                _ => {
+                    let i = *index_of.entry(id).or_insert_with(|| {
+                        values.push(f(&step.program));
+                        values.len() - 1
+                    });
+                    last = Some((id, i));
+                    i
+                }
+            }
+        })
+        .collect();
+    PerProgram { values, of_step }
+}
+
 /// Congruence-class key for subarray groups: the per-step (program
 /// identity, first-seen stream index) signature plus the live-in rows.
 type GroupClass = (Vec<(usize, u32)>, Vec<PhysRow>);
@@ -419,23 +459,18 @@ pub fn certify(plan: &BatchPlan) -> PlanReport {
     // ---- Passes 1 and 2: borrow checking and hazards, per subarray. ----
     // Steps are grouped by (unit, subarray) preserving plan order; each
     // group is an independent interprocedural analysis because subarrays
-    // share no rows.
-    let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for (k, step) in plan.steps.iter().enumerate() {
-        groups.entry((step.unit, step.subarray)).or_default().push(k);
-    }
+    // share no rows. A stable sort makes every group a contiguous run of
+    // `order`, with groups in key order.
+    let group_of = |k: &usize| (plan.steps[*k].unit, plan.steps[*k].subarray);
+    let mut order: Vec<usize> = (0..plan.steps.len()).collect();
+    order.sort_by_key(group_of);
     // Memoized program analyses: batch plans run one compiled program over
     // many equivalent subarray states, so the (program, live-rows) pair
     // recurs constantly.
     let mut memo: HashMap<(usize, Vec<PhysRow>), AnalysisReport> = HashMap::new();
     // Per-program syntactic facts, shared by the borrow-check and hazard
     // passes (see [`ProgFacts`]).
-    let mut facts: HashMap<usize, ProgFacts> = HashMap::new();
-    for step in &plan.steps {
-        facts
-            .entry(Arc::as_ptr(&step.program) as usize)
-            .or_insert_with(|| ProgFacts::of(&step.program));
-    }
+    let programs = per_program(&plan.steps, ProgFacts::of);
 
     // Congruent-group memoization. A batch plan stripes one operation
     // across many subarrays, so most groups run the same program sequence
@@ -445,32 +480,45 @@ pub fn certify(plan: &BatchPlan) -> PlanReport {
     // coincide). Each congruence class — keyed by the per-step (program
     // identity, first-seen stream index) signature plus the live-in set —
     // is analyzed once; its findings are cached with group-local step
-    // indices and rebound to every member group.
-    let mut classes: HashMap<GroupClass, Vec<PlanDiagnostic>> = HashMap::new();
-    for (&(unit, subarray), step_ids) in &groups {
-        let live: Vec<PhysRow> = plan
-            .live_in
-            .get(&(unit, subarray))
-            .map(|rows| rows.iter().copied().collect())
-            .unwrap_or_default();
-        let mut streams_seen: Vec<TopoPath> = Vec::new();
-        let sig: Vec<(usize, u32)> = step_ids
-            .iter()
-            .map(|&k| {
-                let stream = plan.steps[k].stream;
-                let sid = streams_seen.iter().position(|p| *p == stream).unwrap_or_else(|| {
-                    streams_seen.push(stream);
-                    streams_seen.len() - 1
-                });
-                (Arc::as_ptr(&plan.steps[k].program) as usize, sid as u32)
-            })
-            .collect();
-        let local = classes
-            .entry((sig, live))
-            .or_insert_with(|| check_group(plan, step_ids, &facts, &mut memo));
-        for d in local.iter() {
-            diagnostics.push(rebind(d, unit, subarray, step_ids, plan));
+    // indices and rebound to every member group. Congruent groups come in
+    // runs, so a key equal to the previous group's skips the hash lookup.
+    let mut classes: HashMap<GroupClass, usize> = HashMap::new();
+    let mut findings: Vec<Vec<PlanDiagnostic>> = Vec::new();
+    let (mut key, mut prev_key): (GroupClass, GroupClass) = Default::default();
+    let mut prev_class = None;
+    let mut streams_seen: Vec<TopoPath> = Vec::new();
+    // Live-in sets are keyed like the groups, so one sorted walk pairs them.
+    let mut live_in = plan.live_in.iter().peekable();
+    for step_ids in order.chunk_by(|a, b| group_of(a) == group_of(b)) {
+        let (unit, subarray) = group_of(&step_ids[0]);
+        while live_in.next_if(|(g, _)| **g < (unit, subarray)).is_some() {}
+        let live = live_in.next_if(|(g, _)| **g == (unit, subarray)).map(|(_, rows)| rows);
+        key.1.clear();
+        key.1.extend(live.into_iter().flatten().copied());
+        key.0.clear();
+        streams_seen.clear();
+        for &k in step_ids {
+            let stream = plan.steps[k].stream;
+            let sid = streams_seen.iter().position(|p| *p == stream).unwrap_or_else(|| {
+                streams_seen.push(stream);
+                streams_seen.len() - 1
+            });
+            key.0.push((programs.of_step[k], sid as u32));
         }
+        let class = match prev_class {
+            Some(class) if key == prev_key => class,
+            _ => {
+                let class = *classes.entry(key.clone()).or_insert_with(|| {
+                    findings.push(check_group(plan, step_ids, &programs, &mut memo));
+                    findings.len() - 1
+                });
+                std::mem::swap(&mut key, &mut prev_key);
+                prev_class = Some(class);
+                class
+            }
+        };
+        diagnostics
+            .extend(findings[class].iter().map(|d| rebind(d, unit, subarray, step_ids, plan)));
     }
 
     // ---- Pass 3: static timing verification. ---------------------------
@@ -485,7 +533,7 @@ pub fn certify(plan: &BatchPlan) -> PlanReport {
 fn check_group(
     plan: &BatchPlan,
     step_ids: &[usize],
-    facts: &HashMap<usize, ProgFacts>,
+    programs: &PerProgram<ProgFacts>,
     memo: &mut HashMap<(usize, Vec<PhysRow>), AnalysisReport>,
 ) -> Vec<PlanDiagnostic> {
     let mut out = Vec::new();
@@ -500,7 +548,7 @@ fn check_group(
         .unwrap_or_default();
     for (li, &k) in step_ids.iter().enumerate() {
         let prog = &plan.steps[k].program;
-        let pf = &facts[&(Arc::as_ptr(prog) as usize)];
+        let pf = programs.step(k);
 
         // (a) Recycled temps: reads-before-write of a row some earlier
         // step destroyed. Reported here with the destroying step; the
@@ -544,7 +592,7 @@ fn check_group(
         // never names keep their entry state.
         let live_named: Vec<PhysRow> =
             pf.named.iter().copied().filter(|r| state.get(r) == Some(&RowState::Live)).collect();
-        let key = (Arc::as_ptr(prog) as usize, live_named.clone());
+        let key = (programs.of_step[k], live_named.clone());
         let report = &*memo.entry(key).or_insert_with(|| analyze(prog, plan.shape, &live_named));
         for d in report.diagnostics() {
             match &d.kind {
@@ -595,14 +643,14 @@ fn check_group(
     // commands append to one bank stream in plan order); different
     // streams have no ordering, so any shared row is a race.
     for (i_pos, &i) in step_ids.iter().enumerate() {
-        let pi = &facts[&(Arc::as_ptr(&plan.steps[i].program) as usize)];
+        let pi = programs.step(i);
         let (ri, wi) = (&pi.reads, &pi.writes);
         for (j_off, &j) in step_ids[i_pos + 1..].iter().enumerate() {
             let j_pos = i_pos + 1 + j_off;
             if plan.steps[i].stream == plan.steps[j].stream {
                 continue;
             }
-            let pj = &facts[&(Arc::as_ptr(&plan.steps[j].program) as usize)];
+            let pj = programs.step(j);
             let (rj, wj) = (&pj.reads, &pj.writes);
             let hazard = [
                 (HazardKind::Raw, wi.intersection(rj).next()),
@@ -691,28 +739,29 @@ fn verify_timing(plan: &BatchPlan, diagnostics: &mut Vec<PlanDiagnostic>) -> Opt
     if bad_stream {
         return None;
     }
-    // Profiles are pure in (program, timing); share them across the many
-    // steps of a batch plan that run one compiled program.
-    let mut prof_memo: HashMap<usize, Vec<CommandProfile>> = HashMap::new();
-    let mut by_stream: BTreeMap<TopoPath, Vec<CommandProfile>> = BTreeMap::new();
-    for step in &plan.steps {
-        let profiles = prof_memo
-            .entry(Arc::as_ptr(&step.program) as usize)
-            .or_insert_with(|| step.program.profiles(&plan.timing));
-        by_stream.entry(step.stream).or_default().extend(profiles.iter().cloned());
-    }
-    let streams: Vec<(TopoPath, Vec<CommandProfile>)> = by_stream.into_iter().collect();
-    if streams.is_empty() {
+    if plan.steps.is_empty() {
         return Some(Ns::ZERO);
     }
+    // Profiles are pure in (program, timing); share them across the many
+    // steps of a batch plan that run one compiled program. Each step then
+    // contributes a borrowed slice; the scheduler and the claim checker
+    // concatenate a path's slices in plan order.
+    let profiles = per_program(&plan.steps, |prog| prog.profiles(&plan.timing));
+    let streams: Vec<(TopoPath, &[CommandProfile])> = (0..plan.steps.len())
+        .map(|k| (plan.steps[k].stream, profiles.step(k).as_slice()))
+        .collect();
 
-    let claims: Vec<ClaimedCommand> = match &plan.claims {
-        Some(claims) => claims.clone(),
+    let scheduled;
+    let claims: &[ClaimedCommand] = match &plan.claims {
+        Some(claims) => claims,
         None => {
             match HierarchicalScheduler::new(plan.budget.clone())
                 .schedule_for(&plan.topology, &streams)
             {
-                Ok(schedule) => schedule.claims(),
+                Ok(schedule) => {
+                    scheduled = schedule.claims();
+                    &scheduled
+                }
                 Err(_) => {
                     // Paths were validated above; scheduling a validated
                     // stream set cannot fail, but degrade gracefully.
@@ -721,34 +770,17 @@ fn verify_timing(plan: &BatchPlan, diagnostics: &mut Vec<PlanDiagnostic>) -> Opt
             }
         }
     };
-    let violations = verify_claims(&plan.budget, plan.refresh, &streams, &claims);
-    let accepted = violations.is_empty();
-    for v in violations {
-        diagnostics.push(PlanDiagnostic {
-            step: None,
-            severity: Severity::Error,
-            kind: PlanDiagnosticKind::Timing(v),
-        });
+    match verify_claims(&plan.budget, plan.refresh, &streams, claims) {
+        Ok(makespan) => Some(makespan.to_ns()),
+        Err(violations) => {
+            diagnostics.extend(violations.into_iter().map(|v| PlanDiagnostic {
+                step: None,
+                severity: Severity::Error,
+                kind: PlanDiagnosticKind::Timing(v),
+            }));
+            None
+        }
     }
-    if !accepted {
-        return None;
-    }
-    // Makespan of the verified claims: latest completion instant.
-    let merged: BTreeMap<TopoPath, &Vec<CommandProfile>> =
-        streams.iter().map(|(p, v)| (*p, v)).collect();
-    let mut cursors: BTreeMap<TopoPath, usize> = BTreeMap::new();
-    let mut end = Ps::ZERO;
-    for c in &claims {
-        let idx = {
-            let e = cursors.entry(c.path).or_insert(0);
-            let i = *e;
-            *e += 1;
-            i
-        };
-        let done = c.start + merged[&c.path][idx].duration.to_ps();
-        end = end.max(done);
-    }
-    Some(end.to_ns())
 }
 
 #[cfg(test)]

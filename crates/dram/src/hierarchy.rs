@@ -111,16 +111,17 @@ impl HierarchicalScheduler {
     }
 
     /// [`HierarchicalScheduler::schedule`], validating every path against
-    /// `topology` first.
+    /// `topology` first. Streams may be owned vectors or borrowed slices;
+    /// duplicate paths concatenate in input order.
     ///
     /// # Errors
     ///
     /// [`DramError::PathOutOfRange`] if a stream's path is outside
     /// `topology`; otherwise as [`HierarchicalScheduler::schedule`].
-    pub fn schedule_for(
+    pub fn schedule_for<S: AsRef<[CommandProfile]>>(
         &self,
         topology: &Topology,
-        streams: &[(TopoPath, Vec<CommandProfile>)],
+        streams: &[(TopoPath, S)],
     ) -> Result<Schedule, DramError> {
         for (path, _) in streams {
             if !topology.contains(*path) {
@@ -132,7 +133,7 @@ impl HierarchicalScheduler {
                 });
             }
         }
-        self.schedule(streams)
+        self.schedule_with(streams, &mut NullSink)
     }
 
     /// [`HierarchicalScheduler::schedule`] with a dynamic trace sink.
@@ -148,61 +149,44 @@ impl HierarchicalScheduler {
         self.schedule_with(streams, sink)
     }
 
-    /// Schedules `streams` while reporting every issued command to `sink`.
+    /// Schedules `streams` (owned vectors or borrowed slices) while
+    /// reporting every issued command to `sink`.
     ///
     /// # Errors
     ///
     /// Same as [`HierarchicalScheduler::schedule`].
-    pub fn schedule_with<S: TraceSink + ?Sized>(
+    pub fn schedule_with<C: AsRef<[CommandProfile]>, S: TraceSink + ?Sized>(
         &self,
-        streams: &[(TopoPath, Vec<CommandProfile>)],
+        streams: &[(TopoPath, C)],
         sink: &mut S,
     ) -> Result<Schedule, DramError> {
-        let borrowed: Vec<(TopoPath, &[CommandProfile])> =
-            streams.iter().map(|(p, v)| (*p, v.as_slice())).collect();
-        schedule_core(&self.budget, &self.power, &borrowed, sink)
+        schedule_core(&self.budget, &self.power, streams, sink)
     }
 }
 
 /// The shared scheduling core behind both the hierarchical and the flat
 /// scheduler. See the module docs for the issue rules.
-pub(crate) fn schedule_core<S: TraceSink + ?Sized>(
+pub(crate) fn schedule_core<C: AsRef<[CommandProfile]>, S: TraceSink + ?Sized>(
     budget: &PumpBudget,
     power: &PowerModel,
-    streams: &[(TopoPath, &[CommandProfile])],
+    streams: &[(TopoPath, C)],
     sink: &mut S,
 ) -> Result<Schedule, DramError> {
-    // Merge duplicate paths in input order; the BTreeMap both dedups in
-    // O(n log n) and yields entries sorted by path for the tie-break.
-    // Empty streams are dropped here — `Schedule::bank_done` promises
-    // "banks without work are absent".
-    let mut merged: BTreeMap<TopoPath, Vec<&CommandProfile>> = BTreeMap::new();
-    for (path, cmds) in streams {
+    for (path, _) in streams {
         for component in [path.channel, path.rank, path.bank] {
             if component >= usize::MAX / 2 {
                 return Err(DramError::BankOutOfRange { bank: component, banks: usize::MAX / 2 });
             }
         }
-        if cmds.is_empty() {
-            continue;
-        }
-        merged.entry(*path).or_default().extend(cmds.iter());
     }
-    let entries: Vec<(TopoPath, Vec<&CommandProfile>)> = merged.into_iter().collect();
+    let entries = merge_streams(streams);
 
     // One pump window per (channel, rank); one bus cursor per channel.
-    let mut rank_of = BTreeMap::new();
-    let mut channel_of = BTreeMap::new();
-    for (path, _) in &entries {
-        let next = rank_of.len();
-        rank_of.entry(path.rank_id()).or_insert(next);
-        let next = channel_of.len();
-        channel_of.entry(path.channel).or_insert(next);
-    }
+    let Resources { slots, ranks, channels } = Resources::of(entries.iter().map(|(p, _)| *p));
     let mut pumps: Vec<PumpWindow> =
-        (0..rank_of.len()).map(|_| PumpWindow::new(budget.clone())).collect();
-    let mut rank_stats: Vec<RunStats> = (0..rank_of.len()).map(|_| RunStats::new()).collect();
-    let mut last_issue: Vec<Ps> = vec![Ps::ZERO; channel_of.len()];
+        (0..ranks.len()).map(|_| PumpWindow::new(budget.clone())).collect();
+    let mut rank_stats: Vec<RunStats> = (0..ranks.len()).map(|_| RunStats::new()).collect();
+    let mut last_issue: Vec<Ps> = vec![Ps::ZERO; channels];
 
     let mut bank_free: Vec<Ps> = vec![Ps::ZERO; entries.len()];
     let mut cursors = vec![0usize; entries.len()];
@@ -220,8 +204,7 @@ pub(crate) fn schedule_core<S: TraceSink + ?Sized>(
     while let Some(Reverse((free, i))) = ready.pop() {
         let (path, cmds) = &entries[i];
         let profile = cmds[cursors[i]];
-        let rank = rank_of[&path.rank_id()];
-        let channel = channel_of[&path.channel];
+        let (rank, channel) = slots[i];
 
         // In-order issue on this channel's bus, then per-rank pump
         // admission, deferring as needed.
@@ -299,8 +282,61 @@ pub(crate) fn schedule_core<S: TraceSink + ?Sized>(
 
     let bank_done =
         entries.iter().enumerate().map(|(i, (path, _))| (*path, bank_free[i])).collect();
-    let rank_stats = rank_of.into_iter().map(|(id, idx)| (id, rank_stats[idx].clone())).collect();
+    let rank_stats = ranks.into_iter().zip(rank_stats).collect();
     Ok(Schedule { commands, stats, bank_done, rank_stats })
+}
+
+/// Merges streams for scheduling and verification alike: duplicate paths
+/// concatenate in input order, and entries come out sorted by path (the
+/// tie-break order). Empty streams are dropped — `Schedule::bank_done`
+/// promises "banks without work are absent".
+pub(crate) fn merge_streams<S: AsRef<[CommandProfile]>>(
+    streams: &[(TopoPath, S)],
+) -> Vec<(TopoPath, Vec<&CommandProfile>)> {
+    let mut merged: BTreeMap<TopoPath, Vec<&CommandProfile>> = BTreeMap::new();
+    for (path, cmds) in streams {
+        let cmds = cmds.as_ref();
+        if !cmds.is_empty() {
+            merged.entry(*path).or_default().extend(cmds);
+        }
+    }
+    merged.into_iter().collect()
+}
+
+/// Dense pump-window and bus indices over path-sorted banks, resolved once
+/// so per-command loops index plain vectors instead of looking paths up.
+pub(crate) struct Resources {
+    /// Per bank, in input order: its `(pump window, bus)` index pair.
+    pub(crate) slots: Vec<(usize, usize)>,
+    /// The `(channel, rank)` id of every pump window, sorted.
+    pub(crate) ranks: Vec<(usize, usize)>,
+    /// Number of buses (distinct channels).
+    pub(crate) channels: usize,
+}
+
+impl Resources {
+    /// Resolves `paths`, which must be sorted. Sorted input makes
+    /// first-seen order the sorted order, so a change from the previous
+    /// path is all the deduplication needed.
+    pub(crate) fn of(paths: impl Iterator<Item = TopoPath>) -> Self {
+        let mut slots = Vec::new();
+        let mut ranks: Vec<(usize, usize)> = Vec::new();
+        let mut channels: Vec<usize> = Vec::new();
+        for path in paths {
+            debug_assert!(
+                ranks.last().is_none_or(|&r| r <= path.rank_id()),
+                "paths must be sorted"
+            );
+            if ranks.last() != Some(&path.rank_id()) {
+                ranks.push(path.rank_id());
+            }
+            if channels.last() != Some(&path.channel) {
+                channels.push(path.channel);
+            }
+            slots.push((ranks.len() - 1, channels.len() - 1));
+        }
+        Resources { slots, ranks, channels: channels.len() }
+    }
 }
 
 #[cfg(test)]

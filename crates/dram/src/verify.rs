@@ -28,7 +28,7 @@ use crate::command::CommandProfile;
 use crate::constraint::{PumpBudget, PumpWindow};
 use crate::error::DramError;
 use crate::geometry::TopoPath;
-use crate::hierarchy::HierarchicalScheduler;
+use crate::hierarchy::{merge_streams, HierarchicalScheduler, Resources};
 use crate::interleave::Schedule;
 use crate::telemetry::StallReason;
 use crate::units::Ps;
@@ -191,84 +191,75 @@ impl fmt::Display for TimingViolation {
     }
 }
 
-/// Merges streams exactly as the scheduling core does: duplicate paths
-/// concatenate in input order, empty streams are dropped.
-fn merge_streams(
-    streams: &[(TopoPath, Vec<CommandProfile>)],
-) -> BTreeMap<TopoPath, Vec<&CommandProfile>> {
-    let mut merged: BTreeMap<TopoPath, Vec<&CommandProfile>> = BTreeMap::new();
-    for (path, cmds) in streams {
-        if cmds.is_empty() {
-            continue;
-        }
-        merged.entry(*path).or_default().extend(cmds.iter());
-    }
-    merged
-}
-
 /// Checks `claims` (in claimed bus order) against `streams` under `budget`
-/// and an optional `(interval, duration)` refresh blackout. Returns every
-/// refuted obligation; an empty vector is the certificate that the claimed
-/// schedule is legal.
-pub fn verify_claims(
+/// and an optional `(interval, duration)` refresh blackout. Streams may be
+/// owned vectors or borrowed slices; duplicate paths concatenate in input
+/// order, as in the schedulers.
+///
+/// # Errors
+///
+/// Every refuted obligation. `Ok` is the certificate that the claimed
+/// schedule is legal and carries its proven makespan: the latest claimed
+/// completion instant.
+pub fn verify_claims<S: AsRef<[CommandProfile]>>(
     budget: &PumpBudget,
     refresh: Option<(Ps, Ps)>,
-    streams: &[(TopoPath, Vec<CommandProfile>)],
+    streams: &[(TopoPath, S)],
     claims: &[ClaimedCommand],
-) -> Vec<TimingViolation> {
-    let merged = merge_streams(streams);
+) -> Result<Ps, Vec<TimingViolation>> {
+    let entries = merge_streams(streams);
     let mut violations = Vec::new();
 
+    // Bind every claim to its bank's entry once; later passes index
+    // vectors by entry instead of looking paths up per obligation.
+    let bound: Vec<Option<usize>> =
+        claims.iter().map(|c| entries.binary_search_by_key(&c.path, |(p, _)| *p).ok()).collect();
+
     // Shape first: every bank's claim count must match its stream length.
-    let mut claimed_counts: BTreeMap<TopoPath, usize> = BTreeMap::new();
-    for c in claims {
-        *claimed_counts.entry(c.path).or_insert(0) += 1;
+    let mut claimed = vec![0usize; entries.len()];
+    let mut phantom: BTreeMap<TopoPath, usize> = BTreeMap::new();
+    for (c, entry) in claims.iter().zip(&bound) {
+        match entry {
+            Some(i) => claimed[*i] += 1,
+            None => *phantom.entry(c.path).or_insert(0) += 1,
+        }
     }
-    let mut shape_ok = true;
-    for (path, cmds) in &merged {
-        let claimed = claimed_counts.get(path).copied().unwrap_or(0);
+    for ((path, cmds), &claimed) in entries.iter().zip(&claimed) {
         if claimed != cmds.len() {
             violations.push(TimingViolation::ClaimShapeMismatch {
                 path: *path,
                 claimed,
                 expected: cmds.len(),
             });
-            shape_ok = false;
         }
     }
-    for (path, claimed) in &claimed_counts {
-        if !merged.contains_key(path) {
-            violations.push(TimingViolation::ClaimShapeMismatch {
-                path: *path,
-                claimed: *claimed,
-                expected: 0,
-            });
-            shape_ok = false;
-        }
+    for (path, claimed) in phantom {
+        violations.push(TimingViolation::ClaimShapeMismatch { path, claimed, expected: 0 });
     }
-    if !shape_ok {
+    if !violations.is_empty() {
         // Claim-to-command binding is meaningless under a shape mismatch.
-        return violations;
+        return Err(violations);
     }
 
-    let mut cursors: BTreeMap<TopoPath, usize> = BTreeMap::new();
-    let mut bank_done: BTreeMap<TopoPath, Ps> = BTreeMap::new();
-    let mut channel_last: BTreeMap<usize, (usize, Ps)> = BTreeMap::new();
-    let mut pumps: BTreeMap<(usize, usize), PumpWindow> = BTreeMap::new();
+    let Resources { slots, ranks, channels } = Resources::of(entries.iter().map(|(p, _)| *p));
+    let mut cursors = vec![0usize; entries.len()];
+    let mut bank_done: Vec<Option<Ps>> = vec![None; entries.len()];
+    let mut channel_last: Vec<Option<(usize, Ps)>> = vec![None; channels];
+    let mut pumps: Vec<PumpWindow> =
+        ranks.iter().map(|_| PumpWindow::new(budget.clone())).collect();
+    let mut makespan = Ps::ZERO;
 
-    for (seq, claim) in claims.iter().enumerate() {
-        let path = claim.path;
-        let start = claim.start;
-        let index = {
-            let c = cursors.entry(path).or_insert(0);
-            let i = *c;
-            *c += 1;
-            i
-        };
-        let profile = merged[&path][index];
+    for (seq, (claim, entry)) in claims.iter().zip(&bound).enumerate() {
+        // The shape check bound every claim.
+        let Some(i) = *entry else { continue };
+        let (path, start) = (claim.path, claim.start);
+        let index = cursors[i];
+        cursors[i] += 1;
+        let profile = entries[i].1[index];
+        let (rank, channel) = slots[i];
 
         // 1. Bank occupancy.
-        if let Some(&prev_done) = bank_done.get(&path) {
+        if let Some(prev_done) = bank_done[i] {
             if start < prev_done {
                 violations.push(TimingViolation::BankOverlap {
                     path,
@@ -279,11 +270,13 @@ pub fn verify_claims(
                 });
             }
         }
-        bank_done.insert(path, start + profile.duration.to_ps());
+        let done = start + profile.duration.to_ps();
+        bank_done[i] = Some(done);
+        makespan = makespan.max(done);
 
         // 2. In-order bus issue per channel.
-        match channel_last.get(&path.channel) {
-            Some(&(prev_seq, prev_start)) if start < prev_start => {
+        match channel_last[channel] {
+            Some((prev_seq, prev_start)) if start < prev_start => {
                 violations.push(TimingViolation::BusOrderViolation {
                     channel: path.channel,
                     seq,
@@ -296,9 +289,7 @@ pub fn verify_claims(
                 // Keep the cursor at the later instant: subsequent claims
                 // are judged against the real high-water mark.
             }
-            _ => {
-                channel_last.insert(path.channel, (seq, start));
-            }
+            _ => channel_last[channel] = Some((seq, start)),
         }
 
         // 3. Refresh alignment (Controller::with_refresh semantics: a
@@ -319,10 +310,9 @@ pub fn verify_claims(
         }
 
         // 4. Charge-pump / tFAW window per rank.
-        let window = pumps.entry(path.rank_id()).or_insert_with(|| PumpWindow::new(budget.clone()));
-        if let Err(earliest) = window.try_admit(start, budget.command_cost(profile)) {
+        if let Err(earliest) = pumps[rank].try_admit(start, budget.command_cost(profile)) {
             violations.push(TimingViolation::PumpOverrun {
-                rank: path.rank_id(),
+                rank: ranks[rank],
                 seq,
                 path,
                 index,
@@ -334,7 +324,11 @@ pub fn verify_claims(
             // deferred this command.
         }
     }
-    violations
+    if violations.is_empty() {
+        Ok(makespan)
+    } else {
+        Err(violations)
+    }
 }
 
 /// Schedules `streams` with the deterministic hierarchical rules, then
@@ -351,8 +345,8 @@ pub fn prove(
     streams: &[(TopoPath, Vec<CommandProfile>)],
 ) -> Result<(Schedule, Vec<TimingViolation>), DramError> {
     let schedule = HierarchicalScheduler::new(budget.clone()).schedule(streams)?;
-    let violations = verify_claims(budget, refresh, streams, &schedule.claims());
-    Ok((schedule, violations))
+    let violations = verify_claims(budget, refresh, streams, &schedule.claims()).err();
+    Ok((schedule, violations.unwrap_or_default()))
 }
 
 #[cfg(test)]
@@ -399,8 +393,11 @@ mod tests {
             for (c, r, b, n) in [(1, 1, 8, 6), (2, 2, 4, 5), (4, 1, 2, 8), (1, 2, 8, 8)] {
                 let ss = streams(c, r, b, n);
                 let s = HierarchicalScheduler::new(budget.clone()).schedule(&ss).unwrap();
-                let v = verify_claims(&budget, None, &ss, &s.claims());
-                assert!(v.is_empty(), "{c}x{r}x{b}x{n}: {v:?}");
+                match verify_claims(&budget, None, &ss, &s.claims()) {
+                    // The proven makespan is the scheduler's, bit for bit.
+                    Ok(end) => assert_eq!(end.to_ns(), s.stats.makespan, "{c}x{r}x{b}x{n}"),
+                    Err(v) => panic!("{c}x{r}x{b}x{n}: {v:?}"),
+                }
             }
         }
     }
@@ -412,7 +409,7 @@ mod tests {
         let s = InterleavedScheduler::new(budget.clone()).schedule(&flat).unwrap();
         let lifted: Vec<_> =
             flat.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.clone())).collect();
-        assert!(verify_claims(&budget, None, &lifted, &s.claims()).is_empty());
+        assert!(verify_claims(&budget, None, &lifted, &s.claims()).is_ok());
     }
 
     #[test]
@@ -429,7 +426,7 @@ mod tests {
         // Claim the stalled command at the instant the scheduler was
         // denied: the window must refuse it again.
         claims[stalled].start = Ps(claims[stalled].start.0 - s.commands[stalled].pump_stall.0);
-        let v = verify_claims(&budget, None, &ss, &claims);
+        let v = verify_claims(&budget, None, &ss, &claims).unwrap_err();
         assert!(
             v.iter().any(|x| matches!(
                 x,
@@ -450,7 +447,7 @@ mod tests {
         assert!(a < b, "distinct issue instants expected");
         claims[1].start = b;
         claims[2].start = a;
-        let v = verify_claims(&budget, None, &ss, &claims);
+        let v = verify_claims(&budget, None, &ss, &claims).unwrap_err();
         assert!(
             v.iter().any(|x| matches!(x, TimingViolation::BusOrderViolation { seq: 2, .. })),
             "{v:?}"
@@ -465,7 +462,7 @@ mod tests {
         let claims = s.claims();
         // The first command starts at t = 0, inside the blackout.
         let refresh = Some((Ps(7_800_000), Ps(350_000)));
-        let v = verify_claims(&budget, refresh, &ss, &claims);
+        let v = verify_claims(&budget, refresh, &ss, &claims).unwrap_err();
         assert!(
             v.iter().any(|x| matches!(
                 x,
@@ -473,7 +470,7 @@ mod tests {
             )),
             "{v:?}"
         );
-        assert!(verify_claims(&budget, None, &ss, &claims).is_empty());
+        assert!(verify_claims(&budget, None, &ss, &claims).is_ok());
     }
 
     #[test]
@@ -483,7 +480,7 @@ mod tests {
         let s = HierarchicalScheduler::new(budget.clone()).schedule(&ss).unwrap();
         let mut claims = s.claims();
         claims[1].start = Ps(claims[1].start.0 - 1);
-        let v = verify_claims(&budget, None, &ss, &claims);
+        let v = verify_claims(&budget, None, &ss, &claims).unwrap_err();
         assert!(
             v.iter().any(|x| matches!(x, TimingViolation::BankOverlap { seq: 1, .. })),
             "{v:?}"
@@ -496,7 +493,7 @@ mod tests {
         let ss = streams(1, 1, 2, 2);
         let mut claims = HierarchicalScheduler::new(budget.clone()).schedule(&ss).unwrap().claims();
         claims.pop();
-        let v = verify_claims(&budget, None, &ss, &claims);
+        let v = verify_claims(&budget, None, &ss, &claims).unwrap_err();
         assert_eq!(v.len(), 1);
         assert!(matches!(
             v[0],
@@ -504,7 +501,7 @@ mod tests {
         ));
         // A claim for a bank with no stream is also a shape mismatch.
         let phantom = vec![ClaimedCommand { path: TopoPath::new(0, 0, 9), start: Ps::ZERO }];
-        let v = verify_claims(&budget, None, &ss, &phantom);
+        let v = verify_claims(&budget, None, &ss, &phantom).unwrap_err();
         assert!(v
             .iter()
             .any(|x| matches!(x, TimingViolation::ClaimShapeMismatch { expected: 0, .. })));

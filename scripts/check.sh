@@ -74,4 +74,16 @@ cargo run -q --release -p elp2im-bench --bin perf_report -- --check BENCH_009.js
 echo "==> batch bench smoke (vendored criterion --smoke fast path)"
 cargo bench -q -p elp2im-bench --bench batch -- --smoke > /dev/null
 
+echo "==> perfbench correctness smoke (references, repeats, traced makespan/certify agreement)"
+# perfbench exits 0 even when a request fails its checks, so gate on the
+# `"correct": true` field of its final JSON line.
+for workload in bitmap scan; do
+    last="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -n 1)"
+    if ! grep -q '"correct": true' <<< "$last"; then
+        echo "perfbench $workload failed its correctness checks: $last" >&2
+        exit 1
+    fi
+done
+
 echo "All checks passed."
