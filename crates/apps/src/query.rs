@@ -158,36 +158,62 @@ impl InMemoryTable {
     }
 
     fn column(&self, name: &str) -> Result<&Column, CoreError> {
-        self.columns.iter().find(|c| c.name == name).ok_or(CoreError::InvalidHandle(usize::MAX))
+        self.columns
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| CoreError::UnknownColumn(name.to_string()))
+    }
+
+    /// Checks that every leaf of `q` names a known column and a constant
+    /// that fits it, so a bad predicate fails before anything runs.
+    fn check(&self, q: &QueryPredicate) -> Result<(), CoreError> {
+        match q {
+            QueryPredicate::Cmp { column, constant, .. } => {
+                let width = self.column(column)?.width;
+                if constant >> width != 0 {
+                    return Err(CoreError::ConstantOutOfRange { constant: *constant, width });
+                }
+                Ok(())
+            }
+            QueryPredicate::And(a, b) | QueryPredicate::Or(a, b) => {
+                self.check(a)?;
+                self.check(b)
+            }
+            QueryPredicate::Not(p) => self.check(p),
+        }
     }
 
     /// Evaluates a predicate in-DRAM, returning the selection mask handle.
     ///
     /// # Errors
     ///
-    /// Unknown columns report as [`CoreError::InvalidHandle`]; constants
-    /// that do not fit the column width panic (programming error).
+    /// [`CoreError::UnknownColumn`] for a column the table lacks, and
+    /// [`CoreError::ConstantOutOfRange`] for a comparison constant wider
+    /// than its column; both are reported before any device work.
     pub fn selection_mask(&mut self, q: &QueryPredicate) -> Result<RowHandle, CoreError> {
+        self.check(q)?;
+        self.mask(q)
+    }
+
+    /// [`InMemoryTable::selection_mask`] of an already checked predicate.
+    fn mask(&mut self, q: &QueryPredicate) -> Result<RowHandle, CoreError> {
         match q {
             QueryPredicate::Cmp { column, pred, constant } => {
-                let (planes, _w) = {
-                    let c = self.column(column)?;
-                    (c.planes.clone(), c.width)
-                };
+                let planes = self.column(column)?.planes.clone();
                 compare_on_device(&mut self.dev, &planes, *pred, *constant, self.rows)
             }
             QueryPredicate::And(a, b) | QueryPredicate::Or(a, b) => {
                 let op =
                     if matches!(q, QueryPredicate::And(..)) { LogicOp::And } else { LogicOp::Or };
-                let ma = self.selection_mask(a)?;
-                let mb = self.selection_mask(b)?;
+                let ma = self.mask(a)?;
+                let mb = self.mask(b)?;
                 let m = self.dev.binary(op, ma, mb)?;
                 self.dev.release(ma)?;
                 self.dev.release(mb)?;
                 Ok(m)
             }
             QueryPredicate::Not(p) => {
-                let mp = self.selection_mask(p)?;
+                let mp = self.mask(p)?;
                 let m = self.dev.not(mp)?;
                 self.dev.release(mp)?;
                 Ok(m)
@@ -215,11 +241,11 @@ impl InMemoryTable {
     ///
     /// See [`InMemoryTable::selection_mask`].
     pub fn sum_where(&mut self, column: &str, q: &QueryPredicate) -> Result<u64, CoreError> {
-        let mask = self.selection_mask(q)?;
         let (planes, width) = {
             let c = self.column(column)?;
             (c.planes.clone(), c.width)
         };
+        let mask = self.selection_mask(q)?;
         let mut sum = 0u64;
         for (i, &plane) in planes.iter().enumerate() {
             let selected = self.dev.and(plane, mask)?;
@@ -370,7 +396,21 @@ mod tests {
     fn unknown_column_is_an_error() {
         let mut t = table(16);
         let q = QueryPredicate::cmp("salary", Predicate::Lt, 10);
-        assert!(t.count_where(&q).is_err());
+        assert_eq!(t.count_where(&q), Err(CoreError::UnknownColumn("salary".into())));
+        assert_eq!(t.group_count("salary", None), Err(CoreError::UnknownColumn("salary".into())));
+    }
+
+    #[test]
+    fn oversized_constant_is_an_error() {
+        let mut t = table(16);
+        // "region" is 3 bits wide: 7 fits, 8 does not.
+        assert!(t.count_where(&QueryPredicate::cmp("region", Predicate::Le, 7)).is_ok());
+        let q = QueryPredicate::cmp("age", Predicate::Ge, 0).and(QueryPredicate::cmp(
+            "region",
+            Predicate::Lt,
+            8,
+        ));
+        assert_eq!(t.count_where(&q), Err(CoreError::ConstantOutOfRange { constant: 8, width: 3 }));
     }
 
     #[test]

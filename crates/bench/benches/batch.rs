@@ -10,8 +10,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use elp2im_core::batch::{BatchConfig, DeviceArray};
 use elp2im_core::bitvec::BitVec;
 use elp2im_core::compile::LogicOp;
+use elp2im_dram::command::CommandProfile;
 use elp2im_dram::constraint::PumpBudget;
-use elp2im_dram::geometry::{Geometry, Topology};
+use elp2im_dram::geometry::{Geometry, TopoPath, Topology};
+use elp2im_dram::hierarchy::HierarchicalScheduler;
+use elp2im_dram::timing::Ddr3Timing;
 
 const STRIPES: usize = 8;
 
@@ -113,31 +116,25 @@ fn bench_topology_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The interleaved scheduler alone (no functional simulation): per-bank
-/// streams of mixed ELP2IM commands under the JEDEC pump budget.
-fn bench_scheduler(c: &mut Criterion) {
-    use elp2im_dram::command::CommandProfile;
-    use elp2im_dram::interleave::InterleavedScheduler;
-    use elp2im_dram::timing::Ddr3Timing;
-
+/// `banks` single-rank streams of 64 mixed ELP2IM AAP/APP/AP rounds each.
+fn mixed_streams(banks: usize) -> Vec<(TopoPath, Vec<CommandProfile>)> {
     let t = Ddr3Timing::ddr3_1600();
-    let mut group = c.benchmark_group("interleaved_scheduler");
+    let round = [CommandProfile::aap(&t), CommandProfile::app(&t), CommandProfile::ap(&t)];
+    (0..banks)
+        .map(|b| (TopoPath::flat_bank(b), round.iter().cycle().take(3 * 64).cloned().collect()))
+        .collect()
+}
+
+/// The scheduler alone (no functional simulation): per-bank streams of
+/// mixed ELP2IM commands under the JEDEC pump budget.
+fn bench_scheduler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scheduler");
     for &banks in &[2usize, 8] {
-        let streams: Vec<_> = (0..banks)
-            .map(|b| {
-                let mut v = Vec::new();
-                for _ in 0..64 {
-                    v.push(CommandProfile::aap(&t));
-                    v.push(CommandProfile::app(&t));
-                    v.push(CommandProfile::ap(&t));
-                }
-                (b, v)
-            })
-            .collect();
+        let streams = mixed_streams(banks);
         let total: usize = streams.iter().map(|(_, v)| v.len()).sum();
         group.throughput(Throughput::Elements(total as u64));
         group.bench_with_input(BenchmarkId::new("banks", banks), &banks, |bch, _| {
-            let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+            let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
             bch.iter(|| std::hint::black_box(sched.schedule(&streams).unwrap()));
         });
     }
@@ -150,25 +147,11 @@ fn bench_scheduler(c: &mut Criterion) {
 /// be indistinguishable (the generic `schedule_with` monomorphizes the
 /// no-op recorder away); the third pays for event storage.
 fn bench_sink_overhead(c: &mut Criterion) {
-    use elp2im_dram::command::CommandProfile;
-    use elp2im_dram::interleave::InterleavedScheduler;
     use elp2im_dram::telemetry::{MemorySink, NullSink};
-    use elp2im_dram::timing::Ddr3Timing;
 
-    let t = Ddr3Timing::ddr3_1600();
-    let streams: Vec<_> = (0..8usize)
-        .map(|b| {
-            let mut v = Vec::new();
-            for _ in 0..64 {
-                v.push(CommandProfile::aap(&t));
-                v.push(CommandProfile::app(&t));
-                v.push(CommandProfile::ap(&t));
-            }
-            (b, v)
-        })
-        .collect();
+    let streams = mixed_streams(8);
     let total: usize = streams.iter().map(|(_, v)| v.len()).sum();
-    let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+    let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
 
     let mut group = c.benchmark_group("scheduler_sink");
     group.throughput(Throughput::Elements(total as u64));

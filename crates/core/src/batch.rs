@@ -1,9 +1,9 @@
-//! Bank-parallel batch execution over a whole module.
+//! The multi-bank device: bank-parallel batch execution over a whole
+//! channel/rank/bank topology.
 //!
-//! [`DeviceArray`] is the batch counterpart of
-//! [`Elp2imModule`](crate::module::Elp2imModule): it shards bulk bitwise
-//! operations across the module's banks so their primitive streams overlap
-//! on the rank. The differences are deliberate:
+//! [`DeviceArray`] shards bulk bitwise operations across every bank of its
+//! [`Topology`] so their primitive streams overlap on the ranks. Its
+//! design:
 //!
 //! * **Placement is channel-major.** A vector's row-sized stripes walk
 //!   the topology's parallelism hierarchy most-independent-level first:
@@ -41,11 +41,16 @@
 //!   and each compiled program's static analysis is memoized in a shared
 //!   [`AnalysisCache`], so a program is verified once per (program, shape,
 //!   liveness) rather than once per stripe per bank.
+//! * **Expressions evaluate gate at a time.** [`DeviceArray::eval_expr`]
+//!   runs each distinct gate of an [`Expr`] as one batch operation and
+//!   adds the operations' makespans, since each gate waits for its
+//!   operands.
 
 use crate::analysis::AnalysisCache;
 use crate::bitvec::BitVec;
 use crate::compile::{compile, CompileMode, LogicOp, Operands};
 use crate::error::CoreError;
+use crate::expr::Expr;
 use crate::faulty::{ColumnFaultModel, FaultPolicy, FaultyEngine};
 use crate::isa::Program;
 use crate::optimizer::PhysRow;
@@ -60,7 +65,7 @@ use elp2im_dram::hierarchy::HierarchicalScheduler;
 use elp2im_dram::interleave::Schedule;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// Per-unit programs to execute: `(subarray, program)` pairs in plan order,
@@ -826,6 +831,78 @@ impl DeviceArray {
         self.run_op(LogicOp::Not, a, None)
     }
 
+    /// Evaluates a Boolean [`Expr`] over stored vectors one gate at a time:
+    /// MAJ/ITE nodes lower through [`Expr::expand`], each distinct subterm
+    /// runs once as a [`DeviceArray::binary`] or [`DeviceArray::not`]
+    /// operation, and every intermediate is released before returning.
+    /// The statistics fold the operations with
+    /// [`RunStats::merge_sequential`] (makespans add). A bare variable
+    /// evaluates to that input's own handle.
+    ///
+    /// # Errors
+    ///
+    /// A variable index beyond `inputs` reports as
+    /// [`CoreError::InvalidHandle`] naming that index. Operation errors
+    /// propagate after the intermediates computed so far are released.
+    pub fn eval_expr(
+        &mut self,
+        expr: &Expr,
+        inputs: &[BatchHandle],
+    ) -> Result<(BatchHandle, RunStats), CoreError> {
+        if let Some(max) = expr.max_var().filter(|&max| max >= inputs.len()) {
+            return Err(CoreError::InvalidHandle(max));
+        }
+        let mut gates = HashMap::new();
+        let mut total = RunStats::new();
+        let result = self.eval_gate(&expr.expand(), inputs, &mut gates, &mut total);
+        let mut temps: Vec<BatchHandle> = gates.into_values().collect();
+        temps.sort_by_key(|h| h.0);
+        for h in temps {
+            if result.as_ref().ok() != Some(&h) {
+                self.release(h)?;
+            }
+        }
+        Ok((result?, total))
+    }
+
+    /// Computes one gate of an expanded expression, memoized in `gates`.
+    fn eval_gate(
+        &mut self,
+        e: &Expr,
+        inputs: &[BatchHandle],
+        gates: &mut HashMap<Expr, BatchHandle>,
+        total: &mut RunStats,
+    ) -> Result<BatchHandle, CoreError> {
+        if let Expr::Var(i) = e {
+            return Ok(inputs[*i]);
+        }
+        if let Some(&h) = gates.get(e) {
+            return Ok(h);
+        }
+        let (h, run) = match e {
+            Expr::Not(x) => {
+                let hx = self.eval_gate(x, inputs, gates, total)?;
+                self.not(hx)?
+            }
+            Expr::And(x, y) | Expr::Or(x, y) | Expr::Xor(x, y) => {
+                let op = match e {
+                    Expr::And(..) => LogicOp::And,
+                    Expr::Or(..) => LogicOp::Or,
+                    _ => LogicOp::Xor,
+                };
+                let hx = self.eval_gate(x, inputs, gates, total)?;
+                let hy = self.eval_gate(y, inputs, gates, total)?;
+                self.binary(op, hx, hy)?
+            }
+            Expr::Var(_) | Expr::Maj(..) | Expr::Ite(..) => {
+                unreachable!("variables return early and expand() lowers MAJ/ITE")
+            }
+        };
+        total.merge_sequential(run.stats());
+        gates.insert(e.clone(), h);
+        Ok(h)
+    }
+
     /// Prepares `op(a, b)` exactly as [`DeviceArray::binary`] would —
     /// placement, destination allocation, compilation, live-in snapshots —
     /// and returns the resulting [`BatchPlan`] **without executing it**.
@@ -960,16 +1037,18 @@ mod tests {
     fn extra_channels_relieve_pump_pressure() {
         // Same total work and per-bank shape, but the four-channel array
         // spreads it over four pump windows and four buses.
-        let jedec = |t: Topology| {
+        let make = |topology: Topology, budget: PumpBudget| {
             DeviceArray::new(BatchConfig {
-                topology: t,
+                topology,
                 reserved_rows: 1,
                 mode: CompileMode::LowLatency,
-                budget: PumpBudget::jedec_ddr3_1600(),
+                budget,
             })
         };
-        let mut one = jedec(Topology::module(tiny_geometry(8)));
-        let mut four = jedec(Topology::new(4, 1, tiny_geometry(2)));
+        let jedec = PumpBudget::jedec_ddr3_1600();
+        let mut one = make(Topology::module(tiny_geometry(8)), jedec.clone());
+        let mut four = make(Topology::new(4, 1, tiny_geometry(2)), jedec);
+        let mut free = make(Topology::module(tiny_geometry(8)), PumpBudget::unconstrained());
         let bits = one.row_bits() * 8;
         let run_of = |m: &mut DeviceArray| {
             let a = m.store(&BitVec::ones(bits)).unwrap();
@@ -979,9 +1058,16 @@ mod tests {
         };
         let r1 = run_of(&mut one);
         let r4 = run_of(&mut four);
+        let rf = run_of(&mut free);
         assert_eq!((r1.channels_used, r4.channels_used), (1, 4));
         assert_eq!((r1.banks_used, r4.banks_used), (8, 8));
         assert!(r1.stats().pump_stall.as_f64() > 0.0, "8 banks on one window must stall");
+        assert!(
+            r1.stats().makespan.as_f64() > rf.stats().makespan.as_f64() * 1.2,
+            "the JEDEC window must stretch the makespan: {} vs unconstrained {}",
+            r1.stats().makespan,
+            rf.stats().makespan
+        );
         assert!(
             r4.stats().pump_stall.as_f64() < r1.stats().pump_stall.as_f64(),
             "four windows must stall less: {} vs {}",
@@ -1121,6 +1207,39 @@ mod tests {
             let h = m.store(&BitVec::ones(bits)).unwrap();
             m.release(h).unwrap();
         }
+    }
+
+    fn live_rows(m: &DeviceArray) -> usize {
+        m.banks.iter().flat_map(|u| u.allocs.iter().map(RowAllocator::live)).sum()
+    }
+
+    #[test]
+    fn eval_expr_computes_majority_and_frees_intermediates() {
+        let mut m = small(2);
+        let bits = m.row_bits() * 3;
+        let vals: Vec<BitVec> = [2, 3, 5].iter().map(|&p| pattern(bits, p)).collect();
+        let hs: Vec<_> = vals.iter().map(|v| m.store(v).unwrap()).collect();
+        // ab + ac + bc: every input feeds two of the five gates.
+        let expr = Expr::majority(Expr::var(0), Expr::var(1), Expr::var(2));
+        let (result, stats) = m.eval_expr(&expr, &hs).unwrap();
+        assert_eq!(m.load(result).unwrap(), expr.eval_bitvec(&vals));
+        assert!(stats.makespan.as_f64() > 0.0);
+        assert!((m.stats().makespan.as_f64() - stats.makespan.as_f64()).abs() < 1e-9);
+        // The inputs are untouched, and only they and the result hold
+        // rows: three stripes each.
+        for (h, v) in hs.iter().zip(&vals) {
+            assert_eq!(m.load(*h).unwrap(), *v);
+        }
+        assert_eq!(live_rows(&m), 4 * 3);
+        m.release(result).unwrap();
+        assert_eq!(live_rows(&m), 3 * 3);
+    }
+
+    #[test]
+    fn eval_expr_rejects_unknown_variables() {
+        let mut m = small(2);
+        let ha = m.store(&BitVec::ones(8)).unwrap();
+        assert!(matches!(m.eval_expr(&Expr::var(3), &[ha]), Err(CoreError::InvalidHandle(3))));
     }
 
     #[test]

@@ -83,6 +83,15 @@ pub enum CoreError {
     /// The DRAM command scheduler refused the operation's command streams
     /// (e.g. a stream addressed to a bank outside the module).
     Schedule(DramError),
+    /// A query named a column the table does not have.
+    UnknownColumn(String),
+    /// A comparison constant does not fit the compared column's width.
+    ConstantOutOfRange {
+        /// The constant.
+        constant: u64,
+        /// Column width in bits.
+        width: u32,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -124,6 +133,10 @@ impl fmt::Display for CoreError {
                 write!(f, "statically invalid plan: {reason}")
             }
             CoreError::Schedule(e) => write!(f, "command scheduling failed: {e}"),
+            CoreError::UnknownColumn(name) => write!(f, "unknown column `{name}`"),
+            CoreError::ConstantOutOfRange { constant, width } => {
+                write!(f, "constant {constant} does not fit a {width}-bit column")
+            }
         }
     }
 }

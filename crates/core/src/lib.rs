@@ -26,10 +26,10 @@
 //! * [`rowmap`] — subarray row allocation with reserved-row bookkeeping.
 //! * [`device`] — [`device::Elp2imDevice`], the user-facing bulk bitwise
 //!   device.
-//! * [`batch`] — [`batch::DeviceArray`], the bank-parallel batch
-//!   execution engine: bank-major striping across the whole module, with
-//!   per-bank host-parallel functional simulation and interleaved
-//!   scheduling under the charge-pump budget.
+//! * [`batch`] — [`batch::DeviceArray`], the multi-bank device:
+//!   channel-major striping across a channel/rank/bank topology, with
+//!   host-parallel functional simulation, hierarchical scheduling under
+//!   the charge-pump budget, and gate-at-a-time [`expr::Expr`] evaluation.
 //! * [`planlint`] — the plan-level static verifier: interprocedural row
 //!   borrow checking, cross-stream hazard analysis, and static timing
 //!   proofs over whole batch plans before anything executes.
@@ -65,7 +65,6 @@ pub mod error;
 pub mod expr;
 pub mod faulty;
 pub mod isa;
-pub mod module;
 pub mod optimizer;
 pub mod parse;
 pub mod planlint;

@@ -1,15 +1,20 @@
-//! Property-based tests of the expression compilers over random,
+//! Property-based tests of expression evaluation over random,
 //! heavily-shared DAGs: both the synthesis-first front-end and the greedy
-//! structural lowering must compute the exact truth table, and the greedy
+//! structural lowering must compute the exact truth table, the greedy
 //! temp free-list must never exhaust when `temps.len()` matches the
-//! analytical live-set bound ([`temp_bound`]).
+//! analytical live-set bound ([`temp_bound`]), and the multi-bank
+//! [`DeviceArray::eval_expr`] must compute the same function without
+//! leaking rows.
 
+use elp2im_core::batch::{BatchConfig, DeviceArray};
 use elp2im_core::bitvec::BitVec;
 use elp2im_core::compile::CompileMode;
 use elp2im_core::engine::SubarrayEngine;
 use elp2im_core::expr::{compile_expr, compile_expr_greedy, temp_bound, Expr, ExprOperands};
 use elp2im_core::isa::Program;
 use elp2im_core::primitive::RowRef;
+use elp2im_dram::constraint::PumpBudget;
+use elp2im_dram::geometry::{Geometry, Topology};
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -117,5 +122,61 @@ proptest! {
         };
         let prog = compile_expr_greedy(&expr, &rows, CompileMode::HighThroughput, 1).unwrap();
         assert_computes(&expr, &prog, &rows, n_vars);
+    }
+
+    /// `DeviceArray::eval_expr` on small random topologies. Each unit's
+    /// single subarray has exactly the rows one evaluation holds at its
+    /// peak (the inputs plus one row per distinct gate, for each stripe
+    /// the unit carries), so an intermediate leaked by one round makes
+    /// the next round fail with `CapacityExceeded`.
+    #[test]
+    fn device_array_eval_expr_matches_eval_bitvec(
+        n_vars in 1usize..=4,
+        ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0usize..64), 1..10),
+        topology in (1usize..=2, 1usize..=2, 1usize..=3),
+        shape in (1usize..=5, any::<u64>(), any::<bool>()),
+    ) {
+        let ((channels, ranks, banks), (stripes, seed, jedec)) = (topology, shape);
+        let expr = build_dag(n_vars, &ops);
+        let units = channels * ranks * banks;
+        let rows = (n_vars + expr.expand().distinct_ops()) * stripes.div_ceil(units);
+        let geometry =
+            Geometry { banks, subarrays_per_bank: 1, rows_per_subarray: rows, row_bytes: 8 };
+        let budget =
+            if jedec { PumpBudget::jedec_ddr3_1600() } else { PumpBudget::unconstrained() };
+        let mut array = DeviceArray::new(BatchConfig {
+            topology: Topology::new(channels, ranks, geometry),
+            budget,
+            ..BatchConfig::default()
+        });
+        let bits = array.row_bits() * stripes - 3;
+        let mut state = seed | 1;
+        for round in 0..3 {
+            let inputs: Vec<BitVec> = (0..n_vars)
+                .map(|_| {
+                    (0..bits)
+                        .map(|_| {
+                            // xorshift64: any nonzero state cycles.
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            state & 1 == 1
+                        })
+                        .collect()
+                })
+                .collect();
+            let handles: Vec<_> = inputs.iter().map(|v| array.store(v).unwrap()).collect();
+            let (result, stats) = array
+                .eval_expr(&expr, &handles)
+                .unwrap_or_else(|e| panic!("round {round}: {expr}: {e}"));
+            prop_assert_eq!(array.load(result).unwrap(), expr.eval_bitvec(&inputs));
+            prop_assert!(stats.makespan.as_f64() > 0.0);
+            for (h, v) in handles.iter().zip(&inputs) {
+                prop_assert_eq!(&array.load(*h).unwrap(), v);
+            }
+            for h in handles.into_iter().chain([result]) {
+                array.release(h).unwrap();
+            }
+        }
     }
 }

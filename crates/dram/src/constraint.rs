@@ -126,6 +126,19 @@ impl Default for PumpBudget {
     }
 }
 
+/// The periodic all-bank refresh rule, stated once for the controller and
+/// the timing verifier: every `interval`, the rank is unavailable for
+/// `duration` from the start of the interval. Returns the end of the
+/// blackout `t` falls into, or `None` when `t` is outside every blackout.
+/// A zero `interval` means no refresh.
+pub fn refresh_blackout_end(t: Ps, (interval, duration): (Ps, Ps)) -> Option<Ps> {
+    if interval == Ps::ZERO {
+        return None;
+    }
+    let offset = t.0 % interval.0;
+    (offset < duration.0).then(|| Ps(t.0 - offset + duration.0))
+}
+
 /// Exact sliding-window token accounting used by the event-driven
 /// controller.
 #[derive(Debug, Clone)]
@@ -325,6 +338,15 @@ mod tests {
         assert!(w.try_admit(Ps(0), 3.0).is_ok());
         // But the window is now saturated.
         assert!(w.try_admit(Ps(1), 0.5).is_err());
+    }
+
+    #[test]
+    fn refresh_blackouts_open_each_interval() {
+        let refresh = (Ps(1_000), Ps(300));
+        assert_eq!(refresh_blackout_end(Ps(0), refresh), Some(Ps(300)));
+        assert_eq!(refresh_blackout_end(Ps(2_299), refresh), Some(Ps(2_300)));
+        assert_eq!(refresh_blackout_end(Ps(2_300), refresh), None);
+        assert_eq!(refresh_blackout_end(Ps(0), (Ps::ZERO, Ps(300))), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::bank::BankState;
 use crate::command::CommandProfile;
-use crate::constraint::{PumpBudget, PumpWindow};
+use crate::constraint::{refresh_blackout_end, PumpBudget, PumpWindow};
 use crate::error::DramError;
 use crate::geometry::TopoPath;
 use crate::power::PowerModel;
@@ -93,9 +93,10 @@ impl Controller {
         self.sink.take()
     }
 
-    /// Enables periodic all-bank refresh from a timing set (tREFI/tRFC).
-    /// The paper's evaluation ignores refresh; this supports sensitivity
-    /// studies.
+    /// Enables periodic all-bank refresh from a timing set (tREFI/tRFC),
+    /// under the [`refresh_blackout_end`] rule; a zero tREFI means no
+    /// refresh. The paper's evaluation ignores refresh; this supports
+    /// sensitivity studies.
     pub fn with_refresh(mut self, timing: &crate::timing::Ddr3Timing) -> Self {
         self.refresh = Some((timing.t_refi.to_ps(), timing.t_rfc.to_ps()));
         self
@@ -103,17 +104,7 @@ impl Controller {
 
     /// Pushes `t` past any refresh blackout it falls into.
     fn align_refresh(&self, t: Ps) -> Ps {
-        match self.refresh {
-            None => t,
-            Some((interval, duration)) => {
-                let offset = Ps(t.0 % interval.0);
-                if offset < duration {
-                    Ps(t.0 - offset.0 + duration.0)
-                } else {
-                    t
-                }
-            }
-        }
+        self.refresh.and_then(|r| refresh_blackout_end(t, r)).unwrap_or(t)
     }
 
     /// Number of banks.
@@ -469,6 +460,15 @@ mod tests {
         assert!((1.3..=2.2).contains(&slowdown), "slowdown {slowdown}");
         // No command may start inside a blackout.
         assert!(sr.makespan.as_f64() > sp.makespan.as_f64());
+    }
+
+    #[test]
+    fn zero_refresh_interval_means_no_refresh() {
+        let no_refresh = Ddr3Timing { t_refi: Ns::ZERO, ..Ddr3Timing::ddr3_1600() };
+        let streams: Vec<_> = (0..4).map(|b| (b, vec![CommandProfile::ap(&t()); 12])).collect();
+        let mut plain = Controller::new(4, PumpBudget::jedec_ddr3_1600());
+        let mut zero = Controller::new(4, PumpBudget::jedec_ddr3_1600()).with_refresh(&no_refresh);
+        assert_eq!(zero.run_streams(&streams).unwrap(), plain.run_streams(&streams).unwrap());
     }
 
     #[test]

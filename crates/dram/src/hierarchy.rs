@@ -1,38 +1,37 @@
-//! Hierarchical scheduling across channels, ranks, and banks.
+//! Deterministic, stateless scheduling across channels, ranks, and banks.
 //!
-//! [`crate::interleave::InterleavedScheduler`] models one rank: every bank
-//! shares one command bus and one charge-pump window. Real systems stack
-//! two more levels on top (§6.3 and the system-integration discussion in
-//! the bulk-bitwise survey): **ranks** on the same channel share the bus
-//! but each has its own charge-pump delivery network, and **channels**
-//! share nothing, so they overlap fully. [`HierarchicalScheduler`]
-//! generalizes the same deterministic issue rules to a
-//! [`TopoPath`]-addressed command stream:
+//! One rank's banks share one command bus and one charge-pump window.
+//! Real systems stack two more levels on top (§6.3 and the
+//! system-integration discussion in the bulk-bitwise survey): **ranks** on
+//! the same channel share the bus but each has its own charge-pump
+//! delivery network, and **channels** share nothing, so they overlap
+//! fully. [`HierarchicalScheduler`] applies one set of deterministic issue
+//! rules to [`TopoPath`]-addressed command streams:
 //!
 //! * each `(channel, rank)` pair gets its own [`PumpWindow`] — the
 //!   tFAW-style activation budget constrains ranks independently;
 //! * each channel gets its own in-order bus cursor — commands to any rank
-//!   of one channel serialize their *issue instants*, exactly as the
-//!   single-rank scheduler serializes bank issues;
+//!   of one channel serialize their *issue instants*;
 //! * channels are fully independent — a schedule over `c` channels with
 //!   identical per-channel work has the makespan of one channel.
 //!
-//! The flat scheduler is now a thin wrapper over this core with every
-//! stream pinned to `c0.r0` ([`TopoPath::flat_bank`]), so the two can
-//! never drift; the golden-sequence tests pin the flat traces bit for
-//! bit, and `tests/stats_properties.rs` proves the multi-channel laws
-//! (per-channel independence, [`RunStats::merge_parallel`] agreement)
-//! by property testing.
+//! A single-rank workload is the special case with every stream at
+//! `c0.r0` ([`TopoPath::flat_bank`]); the golden-sequence tests pin those
+//! traces bit for bit, and `tests/stats_properties.rs` proves the
+//! multi-channel laws (per-channel independence,
+//! [`RunStats::merge_parallel`] agreement) by property testing. Every call
+//! starts from an idle array at t = 0 and is a pure function of its
+//! inputs, unlike the stateful [`crate::controller::Controller`].
 //!
 //! # Determinism
 //!
-//! Identical to the flat scheduler, lifted to paths: streams merge in
-//! input order per path and sort by `(channel, rank, bank)`; at every
-//! step the pending command with the earliest bank-free time issues,
-//! ties going to the lowest path; the per-channel bus clamp applies at
-//! issue, and the per-rank pump window defers last. The selection loop
-//! runs on a binary heap keyed by bank-free time, so each step is
-//! `O(log banks)` instead of the previous `O(banks)` scan.
+//! Streams merge in input order per path and sort by `(channel, rank,
+//! bank)`; at every step the pending command with the earliest bank-free
+//! time issues, ties going to the lowest path; the per-channel bus clamp
+//! applies at issue, and the per-rank pump window defers last, recording
+//! the deferral as that command's `pump_stall`. The selection loop runs
+//! on a binary heap keyed by bank-free time, so each step is
+//! `O(log banks)`.
 
 use crate::command::CommandProfile;
 use crate::constraint::{PumpBudget, PumpWindow};
@@ -150,7 +149,9 @@ impl HierarchicalScheduler {
     }
 
     /// Schedules `streams` (owned vectors or borrowed slices) while
-    /// reporting every issued command to `sink`.
+    /// reporting every issued command to `sink`. Generic over the sink, so
+    /// the [`NullSink`] instantiation behind
+    /// [`HierarchicalScheduler::schedule`] compiles to the untraced path.
     ///
     /// # Errors
     ///
@@ -160,130 +161,123 @@ impl HierarchicalScheduler {
         streams: &[(TopoPath, C)],
         sink: &mut S,
     ) -> Result<Schedule, DramError> {
-        schedule_core(&self.budget, &self.power, streams, sink)
-    }
-}
-
-/// The shared scheduling core behind both the hierarchical and the flat
-/// scheduler. See the module docs for the issue rules.
-pub(crate) fn schedule_core<C: AsRef<[CommandProfile]>, S: TraceSink + ?Sized>(
-    budget: &PumpBudget,
-    power: &PowerModel,
-    streams: &[(TopoPath, C)],
-    sink: &mut S,
-) -> Result<Schedule, DramError> {
-    for (path, _) in streams {
-        for component in [path.channel, path.rank, path.bank] {
-            if component >= usize::MAX / 2 {
-                return Err(DramError::BankOutOfRange { bank: component, banks: usize::MAX / 2 });
+        let (budget, power) = (&self.budget, &self.power);
+        for (path, _) in streams {
+            for component in [path.channel, path.rank, path.bank] {
+                if component >= usize::MAX / 2 {
+                    return Err(DramError::BankOutOfRange {
+                        bank: component,
+                        banks: usize::MAX / 2,
+                    });
+                }
             }
         }
-    }
-    let entries = merge_streams(streams);
+        let entries = merge_streams(streams);
 
-    // One pump window per (channel, rank); one bus cursor per channel.
-    let Resources { slots, ranks, channels } = Resources::of(entries.iter().map(|(p, _)| *p));
-    let mut pumps: Vec<PumpWindow> =
-        (0..ranks.len()).map(|_| PumpWindow::new(budget.clone())).collect();
-    let mut rank_stats: Vec<RunStats> = (0..ranks.len()).map(|_| RunStats::new()).collect();
-    let mut last_issue: Vec<Ps> = vec![Ps::ZERO; channels];
+        // One pump window per (channel, rank); one bus cursor per channel.
+        let Resources { slots, ranks, channels } = Resources::of(entries.iter().map(|(p, _)| *p));
+        let mut pumps: Vec<PumpWindow> =
+            (0..ranks.len()).map(|_| PumpWindow::new(budget.clone())).collect();
+        let mut rank_stats: Vec<RunStats> = (0..ranks.len()).map(|_| RunStats::new()).collect();
+        let mut last_issue: Vec<Ps> = vec![Ps::ZERO; channels];
 
-    let mut bank_free: Vec<Ps> = vec![Ps::ZERO; entries.len()];
-    let mut cursors = vec![0usize; entries.len()];
-    let mut stats = RunStats::new();
-    let mut commands = Vec::with_capacity(entries.iter().map(|(_, v)| v.len()).sum());
+        let mut bank_free: Vec<Ps> = vec![Ps::ZERO; entries.len()];
+        let mut cursors = vec![0usize; entries.len()];
+        let mut stats = RunStats::new();
+        let mut commands = Vec::with_capacity(entries.iter().map(|(_, v)| v.len()).sum());
 
-    // Ready queue keyed by bank-free time, then path order (entries are
-    // path-sorted, so the index is the tie-break). A bank's free time
-    // only changes when it issues, at which point it is re-pushed with
-    // its new key — so the heap top is always the same command the old
-    // O(banks) scan would have selected.
-    let mut ready: BinaryHeap<Reverse<(Ps, usize)>> =
-        (0..entries.len()).map(|i| Reverse((Ps::ZERO, i))).collect();
+        // Ready queue keyed by bank-free time, then path order (entries are
+        // path-sorted, so the index is the tie-break). A bank's free time
+        // only changes when it issues, at which point it is re-pushed with
+        // its new key — so the heap top is always the pending command with
+        // the earliest bank-free time, lowest path first.
+        let mut ready: BinaryHeap<Reverse<(Ps, usize)>> =
+            (0..entries.len()).map(|i| Reverse((Ps::ZERO, i))).collect();
 
-    while let Some(Reverse((free, i))) = ready.pop() {
-        let (path, cmds) = &entries[i];
-        let profile = cmds[cursors[i]];
-        let (rank, channel) = slots[i];
+        while let Some(Reverse((free, i))) = ready.pop() {
+            let (path, cmds) = &entries[i];
+            let profile = cmds[cursors[i]];
+            let (rank, channel) = slots[i];
 
-        // In-order issue on this channel's bus, then per-rank pump
-        // admission, deferring as needed.
-        let requested = free.max(last_issue[channel]);
-        let cost = budget.command_cost(profile);
-        let mut start = requested;
-        loop {
-            match pumps[rank].try_admit(start, cost) {
-                Ok(()) => break,
-                Err(retry) => start = retry,
+            // In-order issue on this channel's bus, then per-rank pump
+            // admission, deferring as needed.
+            let requested = free.max(last_issue[channel]);
+            let cost = budget.command_cost(profile);
+            let mut start = requested;
+            loop {
+                match pumps[rank].try_admit(start, cost) {
+                    Ok(()) => break,
+                    Err(retry) => start = retry,
+                }
+            }
+            let bus_wait = requested.saturating_sub(free);
+            let pump_wait = start.saturating_sub(requested);
+            last_issue[channel] = start;
+            let done = start + profile.duration.to_ps();
+            bank_free[i] = done;
+
+            let energy = power.command_energy(profile);
+            for s in [&mut stats, &mut rank_stats[rank]] {
+                s.record(profile.class, profile.duration, profile.total_wordline_events, energy);
+                s.pump_stall += pump_wait.to_ns();
+                s.makespan = Ns(s.makespan.as_f64().max(done.to_ns().as_f64()));
+            }
+
+            // The request is born at the bank-free instant, so the wait splits
+            // exactly into the bus clamp and the pump deferral.
+            let reason = if pump_wait > Ps::ZERO {
+                StallReason::Pump
+            } else if bus_wait > Ps::ZERO {
+                StallReason::Bus
+            } else {
+                StallReason::None
+            };
+            sink.record(&CommandEvent {
+                seq: commands.len() as u64,
+                path: *path,
+                class: profile.class,
+                issue: free,
+                start,
+                done,
+                stall: start.saturating_sub(free),
+                bank_wait: Ps::ZERO,
+                bus_wait,
+                refresh_wait: Ps::ZERO,
+                pump_wait,
+                reason,
+                energy,
+            });
+
+            commands.push(ScheduledCommand {
+                seq: commands.len(),
+                path: *path,
+                index_in_bank: cursors[i],
+                class: profile.class,
+                start,
+                done,
+                pump_stall: pump_wait,
+                bus_wait,
+            });
+            cursors[i] += 1;
+            if cursors[i] < cmds.len() {
+                ready.push(Reverse((done, i)));
             }
         }
-        let bus_wait = requested.saturating_sub(free);
-        let pump_wait = start.saturating_sub(requested);
-        last_issue[channel] = start;
-        let done = start + profile.duration.to_ps();
-        bank_free[i] = done;
 
-        let energy = power.command_energy(profile);
-        for s in [&mut stats, &mut rank_stats[rank]] {
-            s.record(profile.class, profile.duration, profile.total_wordline_events, energy);
-            s.pump_stall += pump_wait.to_ns();
-            s.makespan = Ns(s.makespan.as_f64().max(done.to_ns().as_f64()));
+        // Stamp standby accrual: the whole schedule over its wall clock, and
+        // each rank over its own (so per-rank entries are themselves valid
+        // schedules whose parallel merge reproduces the whole — the law
+        // checked in `tests/stats_properties.rs`).
+        stats.background_energy = power.background_energy(stats.makespan, 1.0);
+        for s in rank_stats.iter_mut() {
+            s.background_energy = power.background_energy(s.makespan, 1.0);
         }
 
-        // The request is born at the bank-free instant, so the wait splits
-        // exactly into the bus clamp and the pump deferral.
-        let reason = if pump_wait > Ps::ZERO {
-            StallReason::Pump
-        } else if bus_wait > Ps::ZERO {
-            StallReason::Bus
-        } else {
-            StallReason::None
-        };
-        sink.record(&CommandEvent {
-            seq: commands.len() as u64,
-            path: *path,
-            class: profile.class,
-            issue: free,
-            start,
-            done,
-            stall: start.saturating_sub(free),
-            bank_wait: Ps::ZERO,
-            bus_wait,
-            refresh_wait: Ps::ZERO,
-            pump_wait,
-            reason,
-            energy,
-        });
-
-        commands.push(ScheduledCommand {
-            seq: commands.len(),
-            path: *path,
-            index_in_bank: cursors[i],
-            class: profile.class,
-            start,
-            done,
-            pump_stall: pump_wait,
-            bus_wait,
-        });
-        cursors[i] += 1;
-        if cursors[i] < cmds.len() {
-            ready.push(Reverse((done, i)));
-        }
+        let bank_done =
+            entries.iter().enumerate().map(|(i, (path, _))| (*path, bank_free[i])).collect();
+        let rank_stats = ranks.into_iter().zip(rank_stats).collect();
+        Ok(Schedule { commands, stats, bank_done, rank_stats })
     }
-
-    // Stamp standby accrual: the whole schedule over its wall clock, and
-    // each rank over its own (so per-rank entries are themselves valid
-    // schedules whose parallel merge reproduces the whole — the law
-    // checked in `tests/stats_properties.rs`).
-    stats.background_energy = power.background_energy(stats.makespan, 1.0);
-    for s in rank_stats.iter_mut() {
-        s.background_energy = power.background_energy(s.makespan, 1.0);
-    }
-
-    let bank_done =
-        entries.iter().enumerate().map(|(i, (path, _))| (*path, bank_free[i])).collect();
-    let rank_stats = ranks.into_iter().zip(rank_stats).collect();
-    Ok(Schedule { commands, stats, bank_done, rank_stats })
 }
 
 /// Merges streams for scheduling and verification alike: duplicate paths
@@ -342,6 +336,7 @@ impl Resources {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::CommandClass;
     use crate::controller::Controller;
     use crate::timing::Ddr3Timing;
 
@@ -397,28 +392,131 @@ mod tests {
         assert!(two_ranks.stats.makespan.as_f64() > one_rank.stats.makespan.as_f64());
     }
 
+    /// Single-rank streams, one per listed flat bank.
+    fn flat(banks: &[(usize, Vec<CommandProfile>)]) -> Vec<(TopoPath, Vec<CommandProfile>)> {
+        banks.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.clone())).collect()
+    }
+
     #[test]
-    fn flat_embedding_matches_interleaved_scheduler() {
-        use crate::interleave::InterleavedScheduler;
-        for budget in [PumpBudget::unconstrained(), PumpBudget::jedec_ddr3_1600()] {
-            let flat: Vec<_> = (0..8)
-                .map(|b| {
-                    (
-                        b,
-                        vec![
-                            CommandProfile::aap(&t()),
-                            CommandProfile::app(&t()),
-                            CommandProfile::ap(&t()),
-                        ],
-                    )
-                })
-                .collect();
-            let lifted: Vec<_> =
-                flat.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.clone())).collect();
-            let a = InterleavedScheduler::new(budget.clone()).schedule(&flat).unwrap();
-            let b = HierarchicalScheduler::new(budget).schedule(&lifted).unwrap();
-            assert_eq!(a, b);
+    fn issue_order_round_robins_by_bank_index() {
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        // Input deliberately out of order: the schedule must not care.
+        let ap = CommandProfile::ap(&t());
+        let s = sched
+            .schedule(&flat(&[
+                (2, vec![ap.clone(); 2]),
+                (0, vec![ap.clone(); 2]),
+                (1, vec![ap.clone(); 2]),
+            ]))
+            .unwrap();
+        let order: Vec<usize> = s.commands.iter().map(|c| c.bank()).collect();
+        assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
+        // Unconstrained banks overlap fully: makespan is one bank's time.
+        assert!((s.stats.makespan.as_f64() - 2.0 * ap.duration.as_f64()).abs() < 0.01);
+        assert_eq!(s.stats.pump_stall, Ns::ZERO);
+    }
+
+    #[test]
+    fn duplicate_paths_merge_in_order() {
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let (ap, app) = (CommandProfile::ap(&t()), CommandProfile::app(&t()));
+        let s = sched.schedule(&flat(&[(0, vec![ap]), (0, vec![app])])).unwrap();
+        assert_eq!(s.commands.len(), 2);
+        assert_eq!(s.commands[0].class, CommandClass::Ap);
+        assert_eq!(s.commands[1].class, CommandClass::App);
+        // One bank: fully serialized.
+        assert_eq!(s.commands[1].start, s.commands[0].done);
+    }
+
+    #[test]
+    fn bank_done_omits_banks_without_work() {
+        // The `bank_done` doc promises "banks without work are absent":
+        // an explicitly empty stream must not materialize a (bank, 0)
+        // entry, whether it stands alone or rides along a duplicate.
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let ap = CommandProfile::ap(&t());
+        let s = sched
+            .schedule(&flat(&[(0, vec![ap.clone()]), (3, vec![]), (1, vec![ap.clone()])]))
+            .unwrap();
+        let banks: Vec<usize> = s.bank_done.iter().map(|(p, _)| p.bank).collect();
+        assert_eq!(banks, vec![0, 1]);
+        // An empty duplicate of a working bank must not disturb it either.
+        let s = sched.schedule(&flat(&[(2, vec![]), (2, vec![ap]), (2, vec![])])).unwrap();
+        assert_eq!(s.bank_done.len(), 1);
+        assert_eq!(s.bank_done[0].0, TopoPath::flat_bank(2));
+        assert!(s.bank_done[0].1 > Ps::ZERO);
+        // A schedule of only empty streams reports no banks at all.
+        let s = sched.schedule(&flat(&[(0, vec![]), (1, vec![])])).unwrap();
+        assert!(s.bank_done.is_empty());
+        assert_eq!(s.stats.total_commands(), 0);
+    }
+
+    #[test]
+    fn bus_and_pump_waits_split_exactly() {
+        // A command delayed by both the shared bus and the pump window
+        // must split its wait exactly (integer picoseconds) into the two
+        // causes, and the metrics registry's per-reason sums must match
+        // its total.
+        use crate::telemetry::MemorySink;
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
+        // 12 banks, one AP each: seqs 0–3 issue at t = 0, seq 4 is pump-
+        // deferred to 40 ns, seqs 5–7 bus-wait to 40 ns, and seq 8 hits
+        // BOTH — the bus clamp to 40 ns and a again-full pump window
+        // pushing it to 80 ns.
+        let streams = per_channel_streams(1, 1, 12, 2);
+        let mut sink = MemorySink::new();
+        let s = sched.schedule_traced(&streams, &mut sink).unwrap();
+        // Tracing changes nothing, identical inputs schedule identically,
+        // and the sink sees every command.
+        assert_eq!(s, sched.schedule(&streams).unwrap());
+        assert_eq!(sink.len(), s.commands.len());
+        // The JEDEC window admits 4 activates per 40 ns: seq 4 stalls first.
+        assert_eq!(s.first_stall().map(|c| c.seq), Some(4));
+
+        // Both causes must actually occur in this workload, including at
+        // least one command that waits on both at once.
+        assert!(sink.events.iter().any(|e| e.bus_wait > Ps::ZERO && e.pump_wait > Ps::ZERO));
+        for (e, c) in sink.events.iter().zip(s.commands.iter()) {
+            assert!(e.waits_reconcile(), "seq {}: waits do not sum to stall", e.seq);
+            assert_eq!((e.seq as usize, e.path, e.start, e.done), (c.seq, c.path, c.start, c.done));
+            assert_eq!(e.pump_wait, c.pump_stall);
+            assert_eq!(e.bus_wait, c.bus_wait);
+            // Dominance: a pump-deferred command reports `pump` even when
+            // it also waited on the bus; a bus-only wait reports `bus`.
+            assert_eq!(e.reason, e.dominant_reason());
+            if e.reason == StallReason::Bus {
+                assert_eq!(e.pump_wait, Ps::ZERO);
+            }
         }
+        // Exact reconciliation in integer picoseconds, no f64 drift.
+        assert!(sink.metrics.stalls_reconcile());
+        let pump_ps: u64 = s.commands.iter().map(|c| c.pump_stall.0).sum();
+        let bus_ps: u64 = s.commands.iter().map(|c| c.bus_wait.0).sum();
+        assert_eq!(sink.metrics.stall_ps_for(StallReason::Pump), pump_ps);
+        assert_eq!(sink.metrics.stall_ps_for(StallReason::Bus), bus_ps);
+        assert_eq!(sink.metrics.total_stall_ps, pump_ps + bus_ps);
+        assert_eq!(pump_ps, s.stats.pump_stall.to_ps().0);
+    }
+
+    #[test]
+    fn schedule_stamps_background_energy() {
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let s = sched.schedule(&per_channel_streams(1, 1, 1, 4)).unwrap();
+        // One bank serializes back to back: makespan equals busy time.
+        assert_eq!(s.stats.makespan, s.stats.busy_time);
+        assert!(s.commands.windows(2).all(|w| w[0].done == w[1].start));
+        let expect = PowerModel::micron_ddr3_1600().background_energy(s.stats.makespan, 1.0);
+        assert!((s.stats.background_energy.as_f64() - expect.as_f64()).abs() < 1e-6);
+        assert!(s.stats.average_power_mw() > s.stats.dynamic_power_mw());
+    }
+
+    #[test]
+    fn empty_input_is_empty_schedule() {
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let s = sched.schedule(&[]).unwrap();
+        assert!(s.commands.is_empty() && s.rank_stats.is_empty());
+        assert_eq!(s.stats.total_commands(), 0);
+        assert_eq!(s.stats.makespan, Ns::ZERO);
     }
 
     #[test]
@@ -427,25 +525,27 @@ mod tests {
         // stateful controller, must reproduce the hierarchical makespan
         // for single-rank channels: the rank owns both its bus and its
         // pump window, so the hierarchy adds no coupling.
-        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let streams = per_channel_streams(4, 1, 8, 6);
-        let s = sched.schedule(&streams).unwrap();
-        assert_eq!(s.rank_stats.len(), 4);
-        for ((channel, rank), rs) in &s.rank_stats {
-            let flat: Vec<_> = streams
-                .iter()
-                .filter(|(p, _)| p.rank_id() == (*channel, *rank))
-                .map(|(p, v)| (p.bank, v.clone()))
-                .collect();
-            let mut c = Controller::new(8, PumpBudget::jedec_ddr3_1600());
-            let cs = c.run_streams(&flat).unwrap();
-            assert!(
-                (rs.makespan.as_f64() - cs.makespan.as_f64()).abs() < 1e-6,
-                "rank c{channel}.r{rank}: hierarchical {} vs controller {}",
-                rs.makespan,
-                cs.makespan
-            );
-            assert!((rs.pump_stall.as_f64() - cs.pump_stall.as_f64()).abs() < 1e-6);
+        for budget in [PumpBudget::unconstrained(), PumpBudget::jedec_ddr3_1600()] {
+            let sched = HierarchicalScheduler::new(budget.clone());
+            let streams = per_channel_streams(4, 1, 8, 6);
+            let s = sched.schedule(&streams).unwrap();
+            assert_eq!(s.rank_stats.len(), 4);
+            for ((channel, rank), rs) in &s.rank_stats {
+                let flat: Vec<_> = streams
+                    .iter()
+                    .filter(|(p, _)| p.rank_id() == (*channel, *rank))
+                    .map(|(p, v)| (p.bank, v.clone()))
+                    .collect();
+                let mut c = Controller::new(8, budget.clone());
+                let cs = c.run_streams(&flat).unwrap();
+                assert!(
+                    (rs.makespan.as_f64() - cs.makespan.as_f64()).abs() < 1e-6,
+                    "rank c{channel}.r{rank}: hierarchical {} vs controller {}",
+                    rs.makespan,
+                    cs.makespan
+                );
+                assert!((rs.pump_stall.as_f64() - cs.pump_stall.as_f64()).abs() < 1e-6);
+            }
         }
     }
 

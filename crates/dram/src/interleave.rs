@@ -1,46 +1,19 @@
-//! Deterministic interleaved scheduling of per-bank command streams.
+//! The outcome of scheduling per-bank command streams.
 //!
 //! The batch execution layer (`elp2im-core::batch`) shards a bulk bitwise
-//! operation across banks and needs to know what the module's command bus
-//! actually does with the resulting per-bank primitive streams: the true
+//! operation across banks and needs to know what the command buses
+//! actually do with the resulting per-bank primitive streams: the true
 //! wall-clock **makespan** under the shared charge-pump/tFAW window
-//! (§6.3), not the per-bank serial `busy_time`. [`InterleavedScheduler`]
-//! produces exactly that, plus an exact per-command trace
-//! ([`ScheduledCommand`]) a logic analyzer on the bus would record —
-//! which the golden-sequence tests pin down cycle by cycle.
-//!
-//! Unlike [`crate::controller::Controller`], the scheduler is stateless:
-//! every [`InterleavedScheduler::schedule`] call starts from an idle rank
-//! at t = 0 and is a pure function of its inputs, so results are
-//! reproducible and comparable across runs.
-//!
-//! This module is the single-rank view of the topology-aware
-//! [`crate::hierarchy::HierarchicalScheduler`]: `schedule` embeds its
-//! flat bank indices at channel 0, rank 0 ([`TopoPath::flat_bank`]) and
-//! runs the shared scheduling core, so the flat and hierarchical
-//! schedulers can never disagree on single-rank workloads.
-//!
-//! # Determinism
-//!
-//! The issue order is fully deterministic:
-//!
-//! 1. Streams are processed in ascending **bank index** (duplicate bank
-//!    entries are merged in input order).
-//! 2. At every step, the pending command with the earliest legal start
-//!    time (its bank's free time, clamped by in-order bus issue) is
-//!    chosen; ties go to the **lowest bank index**.
-//! 3. The charge-pump sliding window then defers the start further if the
-//!    rank-wide activation budget is exhausted; the deferral is recorded
-//!    as that command's `pump_stall`.
+//! (§6.3), not the per-bank serial `busy_time`. The stateless
+//! [`crate::hierarchy::HierarchicalScheduler`] answers with a
+//! [`Schedule`]: that makespan plus the exact per-command trace
+//! ([`ScheduledCommand`]) a logic analyzer on the bus would record, which
+//! the golden-sequence tests pin down cycle by cycle. A single-rank
+//! workload addresses its banks as [`TopoPath::flat_bank`] paths.
 
-use crate::command::{CommandClass, CommandProfile};
-use crate::constraint::PumpBudget;
-use crate::error::DramError;
+use crate::command::CommandClass;
 use crate::geometry::TopoPath;
-use crate::hierarchy::schedule_core;
-use crate::power::PowerModel;
 use crate::stats::RunStats;
-use crate::telemetry::{NullSink, TraceSink};
 use crate::units::{Ns, Ps};
 
 /// One command as actually issued on a channel's bus.
@@ -140,320 +113,5 @@ impl Schedule {
             .iter()
             .map(|c| crate::verify::ClaimedCommand { path: c.path, start: c.start })
             .collect()
-    }
-}
-
-/// Deterministic, stateless scheduler for per-bank command streams under
-/// the shared charge-pump budget.
-///
-/// ```
-/// use elp2im_dram::command::CommandProfile;
-/// use elp2im_dram::constraint::PumpBudget;
-/// use elp2im_dram::interleave::InterleavedScheduler;
-/// use elp2im_dram::timing::Ddr3Timing;
-///
-/// let t = Ddr3Timing::ddr3_1600();
-/// let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-/// let streams: Vec<_> = (0..4).map(|b| (b, vec![CommandProfile::ap(&t); 2])).collect();
-/// let s = sched.schedule(&streams).unwrap();
-/// // Four banks fully overlap: makespan = one bank's serial time.
-/// assert!((s.makespan().as_f64() - 2.0 * t.ap().as_f64()).abs() < 0.01);
-/// assert_eq!(s.stats.total_commands(), 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct InterleavedScheduler {
-    budget: PumpBudget,
-    power: PowerModel,
-}
-
-impl InterleavedScheduler {
-    /// A scheduler enforcing `budget` with the default Micron power model.
-    pub fn new(budget: PumpBudget) -> Self {
-        InterleavedScheduler { budget, power: PowerModel::micron_ddr3_1600() }
-    }
-
-    /// Replaces the power model used for energy accounting.
-    pub fn with_power_model(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
-    /// The enforced budget.
-    pub fn budget(&self) -> &PumpBudget {
-        &self.budget
-    }
-
-    /// Schedules `streams` (pairs of bank index and that bank's in-order
-    /// command stream) from an idle rank at t = 0 and returns the exact
-    /// trace plus aggregate statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::BankOutOfRange`] if a stream names a bank at or above
-    /// `usize::MAX / 2` (a sentinel for obviously corrupt indices); any
-    /// bank index is otherwise legal — the scheduler sizes itself to the
-    /// largest one named.
-    pub fn schedule(
-        &self,
-        streams: &[(usize, Vec<CommandProfile>)],
-    ) -> Result<Schedule, DramError> {
-        // Monomorphized with the no-op sink: compiles to the untraced path.
-        self.schedule_with(streams, &mut NullSink)
-    }
-
-    /// [`InterleavedScheduler::schedule`] with a dynamic trace sink, for
-    /// callers that hold a `Box<dyn TraceSink>`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InterleavedScheduler::schedule`].
-    pub fn schedule_traced(
-        &self,
-        streams: &[(usize, Vec<CommandProfile>)],
-        sink: &mut dyn TraceSink,
-    ) -> Result<Schedule, DramError> {
-        self.schedule_with(streams, sink)
-    }
-
-    /// Schedules `streams` while reporting every issued command to `sink`.
-    ///
-    /// Generic over the sink so the [`NullSink`] instantiation is zero
-    /// cost (verified by the criterion bench in `elp2im-bench`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InterleavedScheduler::schedule`].
-    pub fn schedule_with<S: TraceSink + ?Sized>(
-        &self,
-        streams: &[(usize, Vec<CommandProfile>)],
-        sink: &mut S,
-    ) -> Result<Schedule, DramError> {
-        let lifted: Vec<(TopoPath, &[CommandProfile])> =
-            streams.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.as_slice())).collect();
-        schedule_core(&self.budget, &self.power, &lifted, sink)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::telemetry::StallReason;
-    use crate::timing::Ddr3Timing;
-
-    fn t() -> Ddr3Timing {
-        Ddr3Timing::ddr3_1600()
-    }
-
-    #[test]
-    fn single_bank_serializes_and_makespan_equals_busy() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let s = sched.schedule(&[(0, vec![CommandProfile::ap(&t()); 5])]).unwrap();
-        assert_eq!(s.commands.len(), 5);
-        assert!((s.stats.makespan.as_f64() - s.stats.busy_time.as_f64()).abs() < 1e-9);
-        // Back-to-back, no gaps.
-        for w in s.commands.windows(2) {
-            assert_eq!(w[0].done, w[1].start);
-        }
-    }
-
-    #[test]
-    fn banks_overlap_when_unconstrained() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 4])).collect();
-        let s = sched.schedule(&streams).unwrap();
-        let expect = CommandProfile::ap(&t()).duration.as_f64() * 4.0;
-        assert!((s.stats.makespan.as_f64() - expect).abs() < 0.01);
-        assert!((s.stats.busy_time.as_f64() - expect * 8.0).abs() < 0.01);
-        assert_eq!(s.stats.pump_stall, Ns::ZERO);
-    }
-
-    #[test]
-    fn issue_order_round_robins_by_bank_index() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        // Input deliberately out of order: the schedule must not care.
-        let streams = vec![
-            (2, vec![CommandProfile::ap(&t()); 2]),
-            (0, vec![CommandProfile::ap(&t()); 2]),
-            (1, vec![CommandProfile::ap(&t()); 2]),
-        ];
-        let s = sched.schedule(&streams).unwrap();
-        let order: Vec<usize> = s.commands.iter().map(|c| c.bank()).collect();
-        assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn identical_inputs_produce_identical_schedules() {
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::aap(&t()); 6])).collect();
-        let a = sched.schedule(&streams).unwrap();
-        let b = sched.schedule(&streams).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn pump_constraint_inserts_recorded_stalls() {
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 8])).collect();
-        let s = sched.schedule(&streams).unwrap();
-        assert!(s.stats.pump_stall.as_f64() > 0.0);
-        let first = s.first_stall().expect("8 concurrent AP streams must stall");
-        // The JEDEC budget admits 4 activates per 40 ns window; the fifth
-        // command is the first deferred one.
-        assert_eq!(first.seq, 4);
-        // Sum of per-command stalls must equal the aggregate.
-        let total: f64 = s.commands.iter().map(|c| c.pump_stall.to_ns().as_f64()).sum();
-        assert!((total - s.stats.pump_stall.as_f64()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duplicate_bank_entries_merge_in_order() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let ap = CommandProfile::ap(&t());
-        let app = CommandProfile::app(&t());
-        let s = sched.schedule(&[(0, vec![ap.clone()]), (0, vec![app.clone()])]).unwrap();
-        assert_eq!(s.commands.len(), 2);
-        assert_eq!(s.commands[0].class, CommandClass::Ap);
-        assert_eq!(s.commands[1].class, CommandClass::App);
-        // One bank: fully serialized.
-        assert_eq!(s.commands[1].start, s.commands[0].done);
-    }
-
-    #[test]
-    fn bank_done_omits_banks_without_work() {
-        // The `bank_done` doc promises "banks without work are absent":
-        // an explicitly empty stream must not materialize a (bank, 0)
-        // entry, whether it stands alone or rides along a duplicate.
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let s = sched
-            .schedule(&[
-                (0, vec![CommandProfile::ap(&t())]),
-                (3, vec![]),
-                (1, vec![CommandProfile::ap(&t())]),
-            ])
-            .unwrap();
-        let banks: Vec<usize> = s.bank_done.iter().map(|(p, _)| p.bank).collect();
-        assert_eq!(banks, vec![0, 1]);
-        // An empty duplicate of a working bank must not disturb it either.
-        let s = sched
-            .schedule(&[(2, vec![]), (2, vec![CommandProfile::ap(&t())]), (2, vec![])])
-            .unwrap();
-        assert_eq!(s.bank_done.len(), 1);
-        assert_eq!(s.bank_done[0].0, TopoPath::flat_bank(2));
-        assert!(s.bank_done[0].1 > Ps::ZERO);
-        // A schedule of only empty streams reports no banks at all.
-        let s = sched.schedule(&[(0, vec![]), (1, vec![])]).unwrap();
-        assert!(s.bank_done.is_empty());
-        assert_eq!(s.stats.total_commands(), 0);
-    }
-
-    #[test]
-    fn agrees_with_event_driven_controller() {
-        // The stateless scheduler and the stateful controller implement
-        // the same issue rules; from an idle rank they must agree on the
-        // makespan.
-        use crate::controller::Controller;
-        for budget in [PumpBudget::unconstrained(), PumpBudget::jedec_ddr3_1600()] {
-            let streams: Vec<_> = (0..8)
-                .map(|b| {
-                    (
-                        b,
-                        vec![
-                            CommandProfile::aap(&t()),
-                            CommandProfile::app(&t()),
-                            CommandProfile::ap(&t()),
-                        ],
-                    )
-                })
-                .collect();
-            let s = InterleavedScheduler::new(budget.clone()).schedule(&streams).unwrap();
-            let mut c = Controller::new(8, budget);
-            let cs = c.run_streams(&streams).unwrap();
-            assert!(
-                (s.stats.makespan.as_f64() - cs.makespan.as_f64()).abs() < 1e-6,
-                "scheduler {} vs controller {}",
-                s.stats.makespan,
-                cs.makespan
-            );
-            assert!((s.stats.pump_stall.as_f64() - cs.pump_stall.as_f64()).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn traced_schedule_matches_untraced_and_fills_sink() {
-        use crate::telemetry::MemorySink;
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 6])).collect();
-        let plain = sched.schedule(&streams).unwrap();
-        let mut sink = MemorySink::new();
-        let traced = sched.schedule_traced(&streams, &mut sink).unwrap();
-        assert_eq!(plain, traced);
-        assert_eq!(sink.len(), traced.commands.len());
-        for (event, cmd) in sink.events.iter().zip(traced.commands.iter()) {
-            assert_eq!(event.seq as usize, cmd.seq);
-            assert_eq!(event.path, cmd.path);
-            assert_eq!(event.start, cmd.start);
-            assert_eq!(event.done, cmd.done);
-        }
-        // The pump-constrained run must attribute some stalls to the pump.
-        assert!(sink.metrics.stalls_by_reason.contains_key("pump"));
-    }
-
-    #[test]
-    fn bus_and_pump_waits_split_exactly() {
-        // Regression for the stall-misattribution bug: a command delayed
-        // by both the shared bus and the pump window used to report the
-        // whole wait under `pump` in the trace. The split components must
-        // now reconcile exactly (integer picoseconds) with the total, and
-        // the metrics registry's per-reason sums with its total.
-        use crate::telemetry::MemorySink;
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        // 12 banks, one AP each: seqs 0–3 issue at t = 0, seq 4 is pump-
-        // deferred to 40 ns, seqs 5–7 bus-wait to 40 ns, and seq 8 hits
-        // BOTH — the bus clamp to 40 ns and a again-full pump window
-        // pushing it to 80 ns.
-        let streams: Vec<_> = (0..12).map(|b| (b, vec![CommandProfile::ap(&t()); 2])).collect();
-        let mut sink = MemorySink::new();
-        let s = sched.schedule_traced(&streams, &mut sink).unwrap();
-
-        // Both causes must actually occur in this workload, including at
-        // least one command that waits on both at once.
-        assert!(sink.events.iter().any(|e| e.bus_wait > Ps::ZERO && e.pump_wait > Ps::ZERO));
-        for (e, c) in sink.events.iter().zip(s.commands.iter()) {
-            assert!(e.waits_reconcile(), "seq {}: waits do not sum to stall", e.seq);
-            assert_eq!(e.pump_wait, c.pump_stall);
-            assert_eq!(e.bus_wait, c.bus_wait);
-            // Dominance: a pump-deferred command reports `pump` even when
-            // it also waited on the bus; a bus-only wait reports `bus`.
-            assert_eq!(e.reason, e.dominant_reason());
-            if e.reason == StallReason::Bus {
-                assert_eq!(e.pump_wait, Ps::ZERO);
-            }
-        }
-        // Exact reconciliation in integer picoseconds, no f64 drift.
-        assert!(sink.metrics.total_stall_ps > 0);
-        assert!(sink.metrics.stalls_reconcile());
-        let pump_ps: u64 = s.commands.iter().map(|c| c.pump_stall.0).sum();
-        let bus_ps: u64 = s.commands.iter().map(|c| c.bus_wait.0).sum();
-        assert_eq!(sink.metrics.stall_ps_for(StallReason::Pump), pump_ps);
-        assert_eq!(sink.metrics.stall_ps_for(StallReason::Bus), bus_ps);
-        assert_eq!(sink.metrics.total_stall_ps, pump_ps + bus_ps);
-    }
-
-    #[test]
-    fn schedule_stamps_background_energy() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let s = sched.schedule(&[(0, vec![CommandProfile::ap(&t()); 4])]).unwrap();
-        let expect = PowerModel::micron_ddr3_1600().background_energy(s.stats.makespan, 1.0);
-        assert!((s.stats.background_energy.as_f64() - expect.as_f64()).abs() < 1e-6);
-        assert!(s.stats.average_power_mw() > s.stats.dynamic_power_mw());
-    }
-
-    #[test]
-    fn empty_input_is_empty_schedule() {
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let s = sched.schedule(&[]).unwrap();
-        assert!(s.commands.is_empty());
-        assert_eq!(s.stats.total_commands(), 0);
-        assert_eq!(s.stats.makespan, Ns::ZERO);
     }
 }

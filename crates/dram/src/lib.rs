@@ -17,12 +17,13 @@
 //! * [`bank`] and [`controller`] — an event-driven multi-bank simulator that
 //!   issues command streams under the pump constraint and accounts time,
 //!   energy and row activations.
-//! * [`interleave`] — a stateless, deterministic scheduler over per-bank
-//!   command streams, producing an exact bus trace and the true wall-clock
-//!   makespan for the batch execution layer.
-//! * [`hierarchy`] — the topology-aware generalization: channel/rank/bank
-//!   ([`geometry::Topology`]) scheduling with per-rank pump windows and
-//!   per-channel buses; the flat scheduler is its single-rank embedding.
+//! * [`hierarchy`] — the stateless, deterministic scheduler over
+//!   channel/rank/bank ([`geometry::Topology`]) command streams, with
+//!   per-rank pump windows and per-channel buses; single-rank workloads
+//!   use [`geometry::TopoPath::flat_bank`] paths.
+//! * [`interleave`] — the [`interleave::Schedule`] it produces: an exact
+//!   bus trace and the true wall-clock makespan for the batch execution
+//!   layer.
 //! * [`verify`] — the static timing verifier: checks a *claimed* schedule
 //!   (bus-order issue instants) against the pump window, per-channel
 //!   in-order issue, bank occupancy and refresh blackouts, returning a
@@ -69,7 +70,7 @@ pub use controller::Controller;
 pub use error::DramError;
 pub use geometry::{Geometry, RowAddr, TopoPath, Topology};
 pub use hierarchy::HierarchicalScheduler;
-pub use interleave::{InterleavedScheduler, Schedule, ScheduledCommand};
+pub use interleave::{Schedule, ScheduledCommand};
 pub use json::Json;
 pub use power::PowerModel;
 pub use stats::RunStats;

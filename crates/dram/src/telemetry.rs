@@ -2,8 +2,8 @@
 //!
 //! The analytic [`crate::stats::RunStats`] block answers "how much, in
 //! total" — this module answers "what happened, when". Both the
-//! event-driven [`crate::controller::Controller`] and the bank-parallel
-//! [`crate::interleave::InterleavedScheduler`] can feed every issued
+//! event-driven [`crate::controller::Controller`] and the stateless
+//! [`crate::hierarchy::HierarchicalScheduler`] can feed every issued
 //! command into a [`TraceSink`]:
 //!
 //! * [`NullSink`] — the zero-cost default; its `record` is an inline no-op

@@ -1,12 +1,11 @@
 //! Static timing verification of claimed schedules.
 //!
-//! The schedulers ([`crate::interleave::InterleavedScheduler`],
-//! [`crate::hierarchy::HierarchicalScheduler`]) *construct* legal
-//! schedules; this module *checks* them. [`verify_claims`] takes a claimed
-//! bus-order schedule — a list of `(path, start)` instants — together with
-//! the per-bank command streams it claims to realize, and discharges four
-//! proof obligations over exact integer-picosecond intervals, without
-//! executing anything:
+//! The scheduler ([`crate::hierarchy::HierarchicalScheduler`])
+//! *constructs* legal schedules; this module *checks* them.
+//! [`verify_claims`] takes a claimed bus-order schedule — a list of
+//! `(path, start)` instants — together with the per-bank command streams
+//! it claims to realize, and discharges four proof obligations over exact
+//! integer-picosecond intervals, without executing anything:
 //!
 //! 1. **Bank occupancy** — a bank's commands may not overlap: each start
 //!    lies at or after the previous command's completion on that bank.
@@ -16,16 +15,18 @@
 //!    [`PumpWindow`] at the claimed instants never overdraws the budget.
 //! 4. **Refresh alignment** — when a `(interval, duration)` refresh
 //!    blackout is declared, no command starts inside a blackout (the
-//!    semantics of [`crate::controller::Controller::with_refresh`]).
+//!    [`crate::constraint::refresh_blackout_end`] rule that
+//!    [`crate::controller::Controller::with_refresh`] also applies; a zero
+//!    interval declares no refresh).
 //!
-//! A schedule produced by either scheduler verifies clean by construction
+//! A schedule produced by the scheduler verifies clean by construction
 //! (pinned against the golden traces in the tests below); any perturbed
 //! schedule is rejected with a concrete counterexample naming the claim,
 //! the instant, and the interval it violates. The plan-level static
 //! analyzer (`elp2im_core::planlint`) is the primary consumer.
 
 use crate::command::CommandProfile;
-use crate::constraint::{PumpBudget, PumpWindow};
+use crate::constraint::{refresh_blackout_end, PumpBudget, PumpWindow};
 use crate::error::DramError;
 use crate::geometry::TopoPath;
 use crate::hierarchy::{merge_streams, HierarchicalScheduler, Resources};
@@ -292,21 +293,15 @@ pub fn verify_claims<S: AsRef<[CommandProfile]>>(
             _ => channel_last[channel] = Some((seq, start)),
         }
 
-        // 3. Refresh alignment (Controller::with_refresh semantics: a
-        // blackout of `duration` opens at the start of every `interval`).
-        if let Some((interval, duration)) = refresh {
-            if interval > Ps::ZERO {
-                let offset = Ps(start.0 % interval.0);
-                if offset < duration {
-                    violations.push(TimingViolation::RefreshMisalignment {
-                        seq,
-                        path,
-                        index,
-                        start,
-                        blackout_until: Ps(start.0 - offset.0 + duration.0),
-                    });
-                }
-            }
+        // 3. Refresh alignment (the controller's rule).
+        if let Some(blackout_until) = refresh.and_then(|r| refresh_blackout_end(start, r)) {
+            violations.push(TimingViolation::RefreshMisalignment {
+                seq,
+                path,
+                index,
+                start,
+                blackout_until,
+            });
         }
 
         // 4. Charge-pump / tFAW window per rank.
@@ -352,7 +347,6 @@ pub fn prove(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interleave::InterleavedScheduler;
     use crate::timing::Ddr3Timing;
 
     fn t() -> Ddr3Timing {
@@ -405,11 +399,10 @@ mod tests {
     #[test]
     fn flat_scheduler_output_verifies_clean() {
         let budget = PumpBudget::jedec_ddr3_1600();
-        let flat: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 6])).collect();
-        let s = InterleavedScheduler::new(budget.clone()).schedule(&flat).unwrap();
-        let lifted: Vec<_> =
-            flat.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.clone())).collect();
-        assert!(verify_claims(&budget, None, &lifted, &s.claims()).is_ok());
+        let flat: Vec<_> =
+            (0..8).map(|b| (TopoPath::flat_bank(b), vec![CommandProfile::ap(&t()); 6])).collect();
+        let s = HierarchicalScheduler::new(budget.clone()).schedule(&flat).unwrap();
+        assert!(verify_claims(&budget, None, &flat, &s.claims()).is_ok());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Compiling arbitrary Boolean expressions (§4.2.3): the median example,
-//! common-subexpression reuse, and evaluation across a whole module.
+//! common-subexpression reuse, and evaluation across a multi-bank device.
 //!
 //! Run with `cargo run --example expressions`.
 
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
 use elp2im::core::compile::CompileMode;
 use elp2im::core::expr::{compile_expr, Expr, ExprOperands};
-use elp2im::core::module::{Elp2imModule, ModuleConfig};
 use elp2im::core::optimizer::PhysRow;
 use elp2im::core::validate::{validate, SubarrayShape};
 use elp2im::dram::timing::Ddr3Timing;
@@ -39,29 +39,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         prog2.latency(&t)
     );
 
-    // Evaluate the median across a multi-bank module on wide vectors.
-    let mut module = Elp2imModule::new(ModuleConfig::default());
-    let bits = module.row_bits() * 4;
+    // Evaluate the median across the eight banks of a DDR3 module.
+    let mut array = DeviceArray::new(BatchConfig::default());
+    let bits = array.row_bits() * array.banks();
     let a: BitVec = (0..bits).map(|i| i % 2 == 0).collect();
     let b: BitVec = (0..bits).map(|i| i % 3 == 0).collect();
     let c: BitVec = (0..bits).map(|i| i % 5 == 0).collect();
-    let ha = module.store(&a)?;
-    let hb = module.store(&b)?;
-    let hc = module.store(&c)?;
-    let (result, stats) = module.eval_expr(&median, &[ha, hb, hc])?;
-    let out = module.load(result)?;
+    let ha = array.store(&a)?;
+    let hb = array.store(&b)?;
+    let hc = array.store(&c)?;
+    let (result, stats) = array.eval_expr(&median, &[ha, hb, hc])?;
+    let out = array.load(result)?;
     println!(
-        "\nmodule-wide median over {bits} bits: {} ones, makespan {}, {} commands",
+        "\n{}-bank median over {bits} bits: {} ones, makespan {}, {} commands",
+        array.banks(),
         out.count_ones(),
         stats.makespan,
         stats.total_commands()
     );
 
-    // Spot-check against software.
-    for i in (0..bits).step_by(997) {
-        let want = [a.get(i), b.get(i), c.get(i)].iter().filter(|&&x| x).count() >= 2;
-        assert_eq!(out.get(i), want);
-    }
+    // Check every bit against software evaluation.
+    assert_eq!(out, median.eval_bitvec(&[a, b, c]));
     println!("verified against software evaluation");
     Ok(())
 }

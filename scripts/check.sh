@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, and the complete test suite.
-# CI (.github/workflows/ci.yml) runs exactly these steps.
+# Full gate: formatting, lints, the complete test suite, and the smoke runs
+# of every binary, example and bench. CI (.github/workflows/ci.yml) runs
+# this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> every bench target builds"
+cargo bench --workspace --no-run -q
+
+echo "==> expressions example (device results checked against software)"
+cargo run -q --release --example expressions > /dev/null
 
 echo "==> bench binaries (--smoke: render -> parse -> schema-validate every report)"
 cargo run -q --release -p elp2im-bench --bin all_experiments -- --smoke > /dev/null

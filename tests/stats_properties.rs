@@ -8,18 +8,15 @@
 //!   event-driven controller replaying the same operations back to back;
 //! * `merge_parallel` over single-bank schedules agrees with one
 //!   interleaved schedule of the same streams when banks don't contend;
-//! * the hierarchical scheduler embeds the flat one (single-module paths
-//!   produce bit-identical schedules), channels fold with
-//!   `merge_parallel` under any budget (they share nothing), and each
-//!   single-rank channel's stats slice agrees with the event-driven
-//!   controller replaying that rank alone.
+//! * channels fold with `merge_parallel` under any budget (they share
+//!   nothing), and each single-rank channel's stats slice agrees with the
+//!   event-driven controller replaying that rank alone.
 
 use elp2im::dram::command::{CommandClass, CommandProfile};
 use elp2im::dram::constraint::PumpBudget;
 use elp2im::dram::controller::Controller;
 use elp2im::dram::geometry::TopoPath;
 use elp2im::dram::hierarchy::HierarchicalScheduler;
-use elp2im::dram::interleave::InterleavedScheduler;
 use elp2im::dram::stats::RunStats;
 use elp2im::dram::timing::Ddr3Timing;
 use elp2im::dram::units::{Ns, Picojoules};
@@ -129,10 +126,10 @@ proptest! {
     fn sequential_merge_agrees_with_serial_replay(
         ops in proptest::collection::vec(profile_stream(), 1..5),
     ) {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
         let mut folded = RunStats::new();
         for stream in &ops {
-            let s = sched.schedule(&[(0, stream.clone())]).unwrap();
+            let s = sched.schedule(&[(TopoPath::flat_bank(0), stream.clone())]).unwrap();
             folded.merge_sequential(&s.stats);
         }
 
@@ -158,37 +155,22 @@ proptest! {
     fn parallel_merge_agrees_with_interleaved_schedule(
         streams in proptest::collection::vec(profile_stream(), 1..5),
     ) {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let banked: Vec<_> =
-            streams.iter().cloned().enumerate().collect();
-
-        let whole = sched.schedule(&banked).unwrap();
-
-        let mut folded = RunStats::new();
-        for (bank, stream) in &banked {
-            let s = sched.schedule(&[(*bank, stream.clone())]).unwrap();
-            folded.merge_parallel(&s.stats);
-        }
-        assert_stats_close(&folded, &whole.stats);
-    }
-
-    /// Single-module paths through the hierarchical scheduler reproduce
-    /// the flat interleaved scheduler bit for bit — same commands, same
-    /// instants, same stats — even under the constrained JEDEC budget.
-    #[test]
-    fn hierarchical_flat_embedding_matches_interleaved(
-        streams in proptest::collection::vec(profile_stream(), 1..5),
-    ) {
-        let flat = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let hier = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let banked: Vec<_> = streams.iter().cloned().enumerate().collect();
-        let pathed: Vec<_> = streams
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let banked: Vec<_> = streams
             .iter()
             .cloned()
             .enumerate()
             .map(|(b, s)| (TopoPath::flat_bank(b), s))
             .collect();
-        prop_assert_eq!(flat.schedule(&banked).unwrap(), hier.schedule(&pathed).unwrap());
+
+        let whole = sched.schedule(&banked).unwrap();
+
+        let mut folded = RunStats::new();
+        for (path, stream) in &banked {
+            let s = sched.schedule(&[(*path, stream.clone())]).unwrap();
+            folded.merge_parallel(&s.stats);
+        }
+        assert_stats_close(&folded, &whole.stats);
     }
 
     /// Channels share no hardware, so folding per-channel hierarchical
