@@ -13,14 +13,16 @@
 //! minimum number of AND and XOR operations — per tree level, a full-adder
 //! slice of 2 XORs + 2 ANDs + 1 OR over the bit-planes.
 //!
-//! A functional column-major (bit-serial) adder over
-//! [`Elp2imDevice`](elp2im_core::device::Elp2imDevice) validates the
-//! decomposition; the cost mixes below feed the Table 2/3 models.
+//! A functional column-major (bit-serial) adder over a [`DeviceArray`]
+//! (one subarray is enough:
+//! [`BatchConfig::subarray`](elp2im_core::batch::BatchConfig::subarray))
+//! validates the decomposition; the cost mixes below feed the Table 2/3
+//! models.
 
 use crate::backend::{DesignKind, PimBackend};
+use elp2im_core::batch::{BatchHandle, DeviceArray};
 use elp2im_core::bitvec::BitVec;
 use elp2im_core::compile::LogicOp;
-use elp2im_core::device::{Elp2imDevice, RowHandle};
 use elp2im_core::error::CoreError;
 use elp2im_dram::units::Ns;
 
@@ -76,7 +78,7 @@ pub fn popcount_slices(n: usize) -> usize {
     slices + (usize::BITS - n.leading_zeros()) as usize
 }
 
-/// Functional bit-serial ripple-carry adder over an ELP2IM device.
+/// Functional bit-serial ripple-carry adder over an ELP2IM device array.
 ///
 /// Operands are column-major: `a[i]`/`b[i]` is bit-plane `i` (LSB first);
 /// each lane (bit position within a plane) is an independent addition.
@@ -86,25 +88,25 @@ pub fn popcount_slices(n: usize) -> usize {
 ///
 /// Propagates device errors (capacity, handle misuse).
 pub fn bit_serial_add(
-    dev: &mut Elp2imDevice,
-    a: &[RowHandle],
-    b: &[RowHandle],
-) -> Result<Vec<RowHandle>, CoreError> {
+    dev: &mut DeviceArray,
+    a: &[BatchHandle],
+    b: &[BatchHandle],
+) -> Result<Vec<BatchHandle>, CoreError> {
     assert_eq!(a.len(), b.len(), "operand widths must match");
     let mut result = Vec::with_capacity(a.len() + 1);
-    let mut carry: Option<RowHandle> = None;
+    let mut carry: Option<BatchHandle> = None;
     for (&pa, &pb) in a.iter().zip(b) {
-        let axb = dev.xor(pa, pb)?;
+        let (axb, _) = dev.binary(LogicOp::Xor, pa, pb)?;
         let (sum, new_carry) = match carry {
             None => {
-                let c = dev.and(pa, pb)?;
+                let (c, _) = dev.binary(LogicOp::And, pa, pb)?;
                 (axb, c)
             }
             Some(c) => {
-                let s = dev.xor(axb, c)?;
-                let t1 = dev.and(pa, pb)?;
-                let t2 = dev.and(axb, c)?;
-                let nc = dev.or(t1, t2)?;
+                let (s, _) = dev.binary(LogicOp::Xor, axb, c)?;
+                let (t1, _) = dev.binary(LogicOp::And, pa, pb)?;
+                let (t2, _) = dev.binary(LogicOp::And, axb, c)?;
+                let (nc, _) = dev.binary(LogicOp::Or, t1, t2)?;
                 dev.release(axb)?;
                 dev.release(t1)?;
                 dev.release(t2)?;
@@ -127,12 +129,12 @@ pub fn bit_serial_add(
 ///
 /// Propagates device errors.
 pub fn bit_serial_popcount(
-    dev: &mut Elp2imDevice,
-    planes: &[RowHandle],
-) -> Result<Vec<RowHandle>, CoreError> {
+    dev: &mut DeviceArray,
+    planes: &[BatchHandle],
+) -> Result<Vec<BatchHandle>, CoreError> {
     assert!(!planes.is_empty(), "popcount needs at least one plane");
     // Pairwise reduction: counts grow one bit per level.
-    let mut numbers: Vec<Vec<RowHandle>> = planes.iter().map(|&p| vec![p]).collect();
+    let mut numbers: Vec<Vec<BatchHandle>> = planes.iter().map(|&p| vec![p]).collect();
     while numbers.len() > 1 {
         let mut next = Vec::with_capacity(numbers.len().div_ceil(2));
         let mut iter = numbers.into_iter();
@@ -143,7 +145,7 @@ pub fn bit_serial_popcount(
                     let w = x.len().max(y.len());
                     let lanes = dev.length(x[0])?;
                     let zero = dev.store(&BitVec::zeros(lanes))?;
-                    let pad = |v: &[RowHandle]| -> Vec<RowHandle> {
+                    let pad = |v: &[BatchHandle]| -> Vec<BatchHandle> {
                         let mut out = v.to_vec();
                         while out.len() < w {
                             out.push(zero);
@@ -169,10 +171,10 @@ pub fn bit_serial_popcount(
 ///
 /// Propagates device errors.
 pub fn bit_serial_add_mod(
-    dev: &mut Elp2imDevice,
-    a: &[RowHandle],
-    b: &[RowHandle],
-) -> Result<Vec<RowHandle>, CoreError> {
+    dev: &mut DeviceArray,
+    a: &[BatchHandle],
+    b: &[BatchHandle],
+) -> Result<Vec<BatchHandle>, CoreError> {
     let mut sum = bit_serial_add(dev, a, b)?;
     let carry = sum.pop().expect("add returns width+1 planes");
     dev.release(carry)?;
@@ -186,11 +188,12 @@ pub fn bit_serial_add_mod(
 ///
 /// Propagates device errors.
 pub fn bit_serial_negate(
-    dev: &mut Elp2imDevice,
-    x: &[RowHandle],
-) -> Result<Vec<RowHandle>, CoreError> {
+    dev: &mut DeviceArray,
+    x: &[BatchHandle],
+) -> Result<Vec<BatchHandle>, CoreError> {
     let lanes = dev.length(x[0])?;
-    let inverted: Vec<RowHandle> = x.iter().map(|&p| dev.not(p)).collect::<Result<_, _>>()?;
+    let inverted: Vec<BatchHandle> =
+        x.iter().map(|&p| dev.not(p).map(|(h, _)| h)).collect::<Result<_, _>>()?;
     // The constant 1: a ones plane at bit 0, zeros elsewhere.
     let mut one = vec![dev.store(&BitVec::ones(lanes))?];
     for _ in 1..x.len() {
@@ -218,22 +221,22 @@ pub fn bit_serial_negate(
 /// Panics if `activations` and `weights` lengths differ, or any weight is
 /// outside `{-1, 0, 1}`.
 pub fn twn_dot_product(
-    dev: &mut Elp2imDevice,
-    activations: &[Vec<RowHandle>],
+    dev: &mut DeviceArray,
+    activations: &[Vec<BatchHandle>],
     weights: &[i8],
-) -> Result<Vec<RowHandle>, CoreError> {
+) -> Result<Vec<BatchHandle>, CoreError> {
     assert_eq!(activations.len(), weights.len(), "one weight per activation");
     assert!(!activations.is_empty(), "need at least one term");
     let width = activations[0].len();
     let lanes = dev.length(activations[0][0])?;
-    let mut acc: Vec<RowHandle> =
+    let mut acc: Vec<BatchHandle> =
         (0..width).map(|_| dev.store(&BitVec::zeros(lanes))).collect::<Result<_, _>>()?;
     for (x, &w) in activations.iter().zip(weights) {
         assert!((-1..=1).contains(&w), "ternary weights only, got {w}");
         if w == 0 {
             continue;
         }
-        let term: Vec<RowHandle> = if w == 1 { x.clone() } else { bit_serial_negate(dev, x)? };
+        let term: Vec<BatchHandle> = if w == 1 { x.clone() } else { bit_serial_negate(dev, x)? };
         let new_acc = bit_serial_add_mod(dev, &acc, &term)?;
         for h in acc {
             dev.release(h)?;
@@ -251,18 +254,14 @@ pub fn twn_dot_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elp2im_core::device::DeviceConfig;
+    use elp2im_core::batch::BatchConfig;
 
-    fn device() -> Elp2imDevice {
-        Elp2imDevice::new(DeviceConfig {
-            width: 64,
-            data_rows: 200,
-            reserved_rows: 2,
-            ..DeviceConfig::default()
-        })
+    /// One subarray of `rows` rows, `bytes` wide, with two reserved rows.
+    fn device(bytes: usize, rows: usize) -> DeviceArray {
+        DeviceArray::new(BatchConfig { reserved_rows: 2, ..BatchConfig::subarray(bytes, rows) })
     }
 
-    fn store_planes(dev: &mut Elp2imDevice, vals: &[u64], width: usize) -> Vec<RowHandle> {
+    fn store_planes(dev: &mut DeviceArray, vals: &[u64], width: usize) -> Vec<BatchHandle> {
         // vals[lane] little-endian; plane i holds bit i of every lane.
         (0..width)
             .map(|i| {
@@ -272,7 +271,7 @@ mod tests {
             .collect()
     }
 
-    fn load_lanes(dev: &Elp2imDevice, planes: &[RowHandle], lanes: usize) -> Vec<u64> {
+    fn load_lanes(dev: &DeviceArray, planes: &[BatchHandle], lanes: usize) -> Vec<u64> {
         (0..lanes)
             .map(|lane| {
                 planes.iter().enumerate().fold(0u64, |acc, (i, &p)| {
@@ -284,7 +283,7 @@ mod tests {
 
     #[test]
     fn bit_serial_add_matches_scalar_addition() {
-        let mut dev = device();
+        let mut dev = device(8, 200);
         let a_vals = [0u64, 1, 7, 9, 15, 6, 3, 12];
         let b_vals = [0u64, 1, 1, 9, 15, 5, 8, 4];
         let a = store_planes(&mut dev, &a_vals, 4);
@@ -299,10 +298,10 @@ mod tests {
 
     #[test]
     fn bit_serial_popcount_matches_count_ones() {
-        let mut dev = device();
+        let mut dev = device(8, 200);
         // 5 planes; lane i's count = number of planes with bit i set.
         let planes_bits: [u64; 5] = [0b1011, 0b0011, 0b1110, 0b0001, 0b1000];
-        let planes: Vec<RowHandle> = planes_bits
+        let planes: Vec<BatchHandle> = planes_bits
             .iter()
             .map(|&p| {
                 let v: BitVec = (0..4).map(|i| (p >> i) & 1 == 1).collect();
@@ -344,12 +343,7 @@ mod tests {
     fn twn_dot_product_matches_signed_arithmetic() {
         let width = 6u32;
         let lanes = 8;
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: lanes,
-            data_rows: 400,
-            reserved_rows: 2,
-            ..DeviceConfig::default()
-        });
+        let mut dev = device(1, 400);
         // 4 activations per lane, ternary weights mixing all three values.
         let acts: [[u64; 8]; 4] = [
             [1, 2, 3, 4, 5, 6, 7, 8],
@@ -358,7 +352,7 @@ mod tests {
             [3, 3, 3, 3, 3, 3, 3, 3],
         ];
         let weights: [i8; 4] = [1, -1, 1, 0];
-        let handles: Vec<Vec<RowHandle>> = acts
+        let handles: Vec<Vec<BatchHandle>> = acts
             .iter()
             .map(|vals| {
                 (0..width)
@@ -387,14 +381,9 @@ mod tests {
     #[test]
     fn negate_is_twos_complement() {
         let width = 4u32;
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: 4,
-            data_rows: 200,
-            reserved_rows: 2,
-            ..DeviceConfig::default()
-        });
+        let mut dev = device(1, 200);
         let vals = [0u64, 1, 7, 15];
-        let x: Vec<RowHandle> = (0..width)
+        let x: Vec<BatchHandle> = (0..width)
             .map(|i| {
                 let plane: BitVec = vals.iter().map(|v| (v >> i) & 1 == 1).collect();
                 dev.store(&plane).unwrap()

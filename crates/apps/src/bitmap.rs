@@ -16,7 +16,6 @@ use elp2im_baselines::cpu::CpuModel;
 use elp2im_core::batch::{BatchHandle, DeviceArray};
 use elp2im_core::bitvec::BitVec;
 use elp2im_core::compile::LogicOp;
-use elp2im_core::device::{Elp2imDevice, RowHandle};
 use elp2im_core::error::CoreError;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::units::Ns;
@@ -106,33 +105,6 @@ impl BitmapStudy {
     }
 }
 
-/// Functional execution of both queries on an ELP2IM device: returns
-/// handles to (every-week-active, male-every-week-active).
-///
-/// # Errors
-///
-/// Propagates device errors (capacity in particular — size the device for
-/// `weeks + 2` live rows plus intermediates).
-pub fn run_queries(
-    dev: &mut Elp2imDevice,
-    weeks: &[RowHandle],
-    gender_male: RowHandle,
-) -> Result<(RowHandle, RowHandle), CoreError> {
-    assert!(!weeks.is_empty(), "need at least one week bitmap");
-    let mut all = weeks[0];
-    let mut owned = false;
-    for &w in &weeks[1..] {
-        let next = dev.and(all, w)?;
-        if owned {
-            dev.release(all)?;
-        }
-        all = next;
-        owned = true;
-    }
-    let male = dev.and(all, gender_male)?;
-    Ok((all, male))
-}
-
 /// Bank-parallel execution of both queries on a [`DeviceArray`]: the
 /// bitmaps are striped across the module's banks, so every bulk AND in
 /// the chain runs as concurrent per-bank streams under the pump budget.
@@ -190,32 +162,6 @@ pub fn reference_queries(weeks: &[BitVec], gender_male: &BitVec) -> (BitVec, Bit
 mod tests {
     use super::*;
     use crate::workload;
-    use elp2im_core::device::DeviceConfig;
-
-    #[test]
-    fn functional_queries_match_reference() {
-        let mut rng = workload::rng(11);
-        let n = 256;
-        let weeks: Vec<BitVec> =
-            (0..4).map(|_| workload::random_bitvec(&mut rng, n, 0.6)).collect();
-        let gender = workload::random_bitvec(&mut rng, n, 0.5);
-
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: n,
-            data_rows: 32,
-            reserved_rows: 1,
-            ..DeviceConfig::default()
-        });
-        let week_handles: Vec<_> = weeks.iter().map(|w| dev.store(w).unwrap()).collect();
-        let gender_handle = dev.store(&gender).unwrap();
-        let (all, male) = run_queries(&mut dev, &week_handles, gender_handle).unwrap();
-
-        let (ref_all, ref_male) = reference_queries(&weeks, &gender);
-        assert_eq!(dev.load(all).unwrap(), ref_all);
-        assert_eq!(dev.load(male).unwrap(), ref_male);
-        // Count on the "CPU": popcounts agree by construction.
-        assert_eq!(dev.load(male).unwrap().count_ones(), ref_male.count_ones());
-    }
 
     #[test]
     fn batch_queries_match_reference_and_overlap_banks() {

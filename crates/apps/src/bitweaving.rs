@@ -11,14 +11,14 @@
 //!   else        { eq &= !a_i }
 //! ```
 //!
-//! Both a software reference, a functional on-device executor, and the
+//! A software reference, a functional in-DRAM executor over a
+//! [`DeviceArray`] (one subarray or a whole striped module), and the
 //! operation-mix counter used by the Fig. 14 cost model live here.
 
 use crate::backend::OpKind;
 use elp2im_core::batch::{BatchHandle, DeviceArray};
 use elp2im_core::bitvec::{BitVec, WORD_BITS};
 use elp2im_core::compile::LogicOp;
-use elp2im_core::device::{Elp2imDevice, RowHandle};
 use elp2im_core::error::CoreError;
 
 /// A vertically laid out column of `w`-bit codes.
@@ -160,86 +160,10 @@ impl VerticalLayout {
     }
 }
 
-/// Executes any comparison predicate on an ELP2IM device over stored
+/// Executes any comparison predicate on a [`DeviceArray`] over stored
 /// bit-plane handles (MSB first). Builds the running `lt`/`eq` vectors and
 /// finishes with the predicate-specific combination (`gt = !(lt | eq)`,
-/// `ge = !lt`, …).
-///
-/// # Errors
-///
-/// Propagates device errors.
-pub fn compare_on_device(
-    dev: &mut Elp2imDevice,
-    planes: &[RowHandle],
-    pred: Predicate,
-    constant: u64,
-    lanes: usize,
-) -> Result<RowHandle, CoreError> {
-    let width = planes.len() as u32;
-    assert!(width > 0 && constant < (1 << width), "constant must fit the plane count");
-    let mut lt = dev.store(&BitVec::zeros(lanes))?;
-    let mut eq = dev.store(&BitVec::ones(lanes))?;
-    for (i, &plane) in planes.iter().enumerate() {
-        let c_bit = (constant >> (width - 1 - i as u32)) & 1 == 1;
-        let not_a = dev.not(plane)?;
-        if c_bit {
-            let t = dev.and(eq, not_a)?;
-            let new_lt = dev.or(lt, t)?;
-            let new_eq = dev.and(eq, plane)?;
-            dev.release(t)?;
-            dev.release(lt)?;
-            dev.release(eq)?;
-            lt = new_lt;
-            eq = new_eq;
-        } else {
-            let new_eq = dev.and(eq, not_a)?;
-            dev.release(eq)?;
-            eq = new_eq;
-        }
-        dev.release(not_a)?;
-    }
-    let result = match pred {
-        Predicate::Lt => {
-            dev.release(eq)?;
-            lt
-        }
-        Predicate::Le => {
-            let r = dev.or(lt, eq)?;
-            dev.release(lt)?;
-            dev.release(eq)?;
-            r
-        }
-        Predicate::Gt => {
-            let le = dev.or(lt, eq)?;
-            let r = dev.not(le)?;
-            dev.release(le)?;
-            dev.release(lt)?;
-            dev.release(eq)?;
-            r
-        }
-        Predicate::Ge => {
-            let r = dev.not(lt)?;
-            dev.release(lt)?;
-            dev.release(eq)?;
-            r
-        }
-        Predicate::Eq => {
-            dev.release(lt)?;
-            eq
-        }
-        Predicate::Ne => {
-            let r = dev.not(eq)?;
-            dev.release(lt)?;
-            dev.release(eq)?;
-            r
-        }
-    };
-    Ok(result)
-}
-
-/// Executes any comparison predicate on a bank-parallel [`DeviceArray`]
-/// over striped bit-plane handles (MSB first). Identical algorithm to
-/// [`compare_on_device`], but every bulk step runs sharded across banks,
+/// `ge = !lt`, …). Every bulk step runs sharded across the array's banks,
 /// so wide columns (more lanes than one row holds) execute with true
 /// bank-level parallelism. The aggregate scheduling statistics accumulate
 /// in [`DeviceArray::stats`].
@@ -352,26 +276,10 @@ pub fn less_than_op_mix(width: u32, constant: u64) -> Vec<(OpKind, u64)> {
     ]
 }
 
-/// Executes the `<` predicate on an ELP2IM device over stored bit-plane
-/// handles (MSB first). Returns the `lt` result handle.
-///
-/// # Errors
-///
-/// Propagates device errors.
-pub fn less_than_on_device(
-    dev: &mut Elp2imDevice,
-    planes: &[RowHandle],
-    constant: u64,
-    lanes: usize,
-) -> Result<RowHandle, CoreError> {
-    compare_on_device(dev, planes, Predicate::Lt, constant, lanes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload;
-    use elp2im_core::device::DeviceConfig;
 
     #[test]
     fn layout_roundtrip() {
@@ -393,27 +301,6 @@ mod tests {
             for (i, &v) in vals.iter().enumerate() {
                 assert_eq!(lt.get(i), v < c, "value {v} < {c}");
             }
-        }
-    }
-
-    #[test]
-    fn device_execution_matches_reference() {
-        let mut rng = workload::rng(4);
-        let n = 128;
-        let vals = workload::random_values(&mut rng, n, 6);
-        let layout = VerticalLayout::from_values(&vals, 6);
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: n,
-            data_rows: 64,
-            reserved_rows: 1,
-            ..DeviceConfig::default()
-        });
-        let planes: Vec<RowHandle> =
-            layout.planes().iter().map(|p| dev.store(p).unwrap()).collect();
-        for c in [0u64, 7, 31, 42, 63] {
-            let h = less_than_on_device(&mut dev, &planes, c, n).unwrap();
-            assert_eq!(dev.load(h).unwrap(), layout.less_than_reference(c), "c = {c}");
-            dev.release(h).unwrap();
         }
     }
 
@@ -506,34 +393,6 @@ mod tests {
     #[should_panic(expected = "must fit")]
     fn oversized_value_panics() {
         VerticalLayout::from_values(&[16], 4);
-    }
-
-    #[test]
-    fn all_predicates_match_scalar_on_device() {
-        let mut rng = workload::rng(17);
-        let n = 64;
-        let vals = workload::random_values(&mut rng, n, 5);
-        let layout = VerticalLayout::from_values(&vals, 5);
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: n,
-            data_rows: 64,
-            reserved_rows: 1,
-            ..DeviceConfig::default()
-        });
-        let planes: Vec<RowHandle> =
-            layout.planes().iter().map(|p| dev.store(p).unwrap()).collect();
-        for pred in Predicate::ALL {
-            for c in [0u64, 5, 16, 31] {
-                let h = compare_on_device(&mut dev, &planes, pred, c, n).unwrap();
-                let got = dev.load(h).unwrap();
-                let want = layout.compare_reference(pred, c);
-                assert_eq!(got, want, "{pred:?} vs {c}");
-                for (i, &v) in vals.iter().enumerate() {
-                    assert_eq!(got.get(i), pred.eval(v, c), "{pred:?}: {v} vs {c}");
-                }
-                dev.release(h).unwrap();
-            }
-        }
     }
 
     #[test]

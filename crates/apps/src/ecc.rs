@@ -14,16 +14,16 @@
 //!   the quantitative form of the paper's "further extensive research
 //!   would be needed".
 
+use elp2im_core::batch::{BatchHandle, DeviceArray};
 use elp2im_core::compile::LogicOp;
-use elp2im_core::device::{Elp2imDevice, RowHandle};
 use elp2im_core::error::CoreError;
 use elp2im_dram::units::Ns;
 
 /// A parity row guarding a set of device rows.
 #[derive(Debug)]
 pub struct ParityGuard {
-    guarded: Vec<RowHandle>,
-    parity: RowHandle,
+    guarded: Vec<BatchHandle>,
+    parity: BatchHandle,
 }
 
 impl ParityGuard {
@@ -36,7 +36,7 @@ impl ParityGuard {
     /// # Panics
     ///
     /// Panics if `rows` is empty.
-    pub fn new(dev: &mut Elp2imDevice, rows: &[RowHandle]) -> Result<Self, CoreError> {
+    pub fn new(dev: &mut DeviceArray, rows: &[BatchHandle]) -> Result<Self, CoreError> {
         assert!(!rows.is_empty(), "guard needs at least one row");
         let (parity, _) = Self::xor_chain(dev, rows)?;
         Ok(ParityGuard { guarded: rows.to_vec(), parity })
@@ -48,18 +48,18 @@ impl ParityGuard {
     /// device exposes no raw RowClone, so copying costs `r^r = 0` then
     /// `0^r = r`).
     fn xor_chain(
-        dev: &mut Elp2imDevice,
-        rows: &[RowHandle],
-    ) -> Result<(RowHandle, usize), CoreError> {
+        dev: &mut DeviceArray,
+        rows: &[BatchHandle],
+    ) -> Result<(BatchHandle, usize), CoreError> {
         if let [only] = rows {
-            let zero = dev.binary(LogicOp::Xor, *only, *only)?;
-            let copy = dev.xor(zero, *only)?;
+            let (zero, _) = dev.binary(LogicOp::Xor, *only, *only)?;
+            let (copy, _) = dev.binary(LogicOp::Xor, zero, *only)?;
             dev.release(zero)?;
             return Ok((copy, 2));
         }
-        let mut acc = dev.xor(rows[0], rows[1])?;
+        let (mut acc, _) = dev.binary(LogicOp::Xor, rows[0], rows[1])?;
         for &r in &rows[2..] {
-            let next = dev.xor(acc, r)?;
+            let (next, _) = dev.binary(LogicOp::Xor, acc, r)?;
             dev.release(acc)?;
             acc = next;
         }
@@ -67,7 +67,7 @@ impl ParityGuard {
     }
 
     /// The parity row handle.
-    pub fn parity(&self) -> RowHandle {
+    pub fn parity(&self) -> BatchHandle {
         self.parity
     }
 
@@ -77,9 +77,9 @@ impl ParityGuard {
     /// # Errors
     ///
     /// Device errors propagate.
-    pub fn check(&self, dev: &mut Elp2imDevice) -> Result<bool, CoreError> {
+    pub fn check(&self, dev: &mut DeviceArray) -> Result<bool, CoreError> {
         let (fresh, _) = Self::xor_chain(dev, &self.guarded)?;
-        let diff = dev.xor(fresh, self.parity)?;
+        let (diff, _) = dev.binary(LogicOp::Xor, fresh, self.parity)?;
         let clean = dev.load(diff)?.is_zero();
         dev.release(fresh)?;
         dev.release(diff)?;
@@ -94,7 +94,7 @@ impl ParityGuard {
     /// # Errors
     ///
     /// Device errors propagate.
-    pub fn refresh(&mut self, dev: &mut Elp2imDevice) -> Result<usize, CoreError> {
+    pub fn refresh(&mut self, dev: &mut DeviceArray) -> Result<usize, CoreError> {
         let (fresh, xors) = Self::xor_chain(dev, &self.guarded)?;
         dev.release(self.parity)?;
         self.parity = fresh;
@@ -103,7 +103,7 @@ impl ParityGuard {
 
     /// The in-DRAM time one parity refresh costs on `dev`'s configuration,
     /// versus the cost of the single AND it might be protecting.
-    pub fn refresh_overhead_vs_and(dev: &Elp2imDevice, guarded_rows: usize) -> (Ns, Ns) {
+    pub fn refresh_overhead_vs_and(dev: &DeviceArray, guarded_rows: usize) -> (Ns, Ns) {
         use elp2im_core::compile::{compile, Operands};
         let t = elp2im_dram::timing::Ddr3Timing::ddr3_1600();
         let xor = compile(
@@ -130,15 +130,13 @@ impl ParityGuard {
 mod tests {
     use super::*;
     use crate::workload;
+    use elp2im_core::batch::BatchConfig;
     use elp2im_core::bitvec::BitVec;
-    use elp2im_core::device::DeviceConfig;
 
-    fn setup(n_rows: usize, bits: usize) -> (Elp2imDevice, Vec<RowHandle>) {
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: bits,
-            data_rows: 64,
+    fn setup(n_rows: usize, bits: usize) -> (DeviceArray, Vec<BatchHandle>) {
+        let mut dev = DeviceArray::new(BatchConfig {
             reserved_rows: 2,
-            ..DeviceConfig::default()
+            ..BatchConfig::subarray(bits.div_ceil(8), 64)
         });
         let mut rng = workload::rng(23);
         let rows = (0..n_rows)
@@ -179,7 +177,7 @@ mod tests {
         let mut guard = ParityGuard::new(&mut dev, &rows).unwrap();
         // Legitimately overwrite a guarded row (dst := a & b elsewhere,
         // then swap the handle into the guarded set).
-        let new_row = dev.and(rows[0], rows[1]).unwrap();
+        let (new_row, _) = dev.binary(LogicOp::And, rows[0], rows[1]).unwrap();
         rows[2] = new_row;
         let mut guard2 = ParityGuard { guarded: rows.clone(), parity: guard.parity() };
         assert!(!guard2.check(&mut dev).unwrap(), "stale parity must fail");

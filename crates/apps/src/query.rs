@@ -1,12 +1,12 @@
-//! A miniature in-memory-database layer over the ELP2IM device — the
+//! A miniature in-memory-database layer over an ELP2IM subarray — the
 //! §6.3.2 table-scan scenario grown into the interface a database engine
 //! would actually use: device-resident vertical columns, compound
 //! predicates, and COUNT/SUM aggregation with the CPU doing only the
 //! final counting (exactly the paper's split of work).
 
-use crate::bitweaving::{compare_on_device, Predicate, VerticalLayout};
+use crate::bitweaving::{compare_on_array, Predicate, VerticalLayout};
+use elp2im_core::batch::{BatchConfig, BatchHandle, DeviceArray};
 use elp2im_core::compile::LogicOp;
-use elp2im_core::device::{DeviceConfig, Elp2imDevice, RowHandle};
 use elp2im_core::error::CoreError;
 use std::fmt;
 
@@ -78,7 +78,7 @@ struct Column {
     name: String,
     width: u32,
     values: Vec<u64>,
-    planes: Vec<RowHandle>,
+    planes: Vec<BatchHandle>,
 }
 
 /// A device-resident table with vertically laid out columns.
@@ -98,7 +98,7 @@ struct Column {
 /// # }
 /// ```
 pub struct InMemoryTable {
-    dev: Elp2imDevice,
+    dev: DeviceArray,
     rows: usize,
     columns: Vec<Column>,
 }
@@ -119,11 +119,10 @@ impl InMemoryTable {
     ///
     /// Device construction cannot fail; kept fallible for future sharding.
     pub fn new(rows: usize) -> Result<Self, CoreError> {
-        let dev = Elp2imDevice::new(DeviceConfig {
-            width: rows.max(8),
-            data_rows: 512,
+        // One subarray whose rows hold a whole column plane.
+        let dev = DeviceArray::new(BatchConfig {
             reserved_rows: 2,
-            ..DeviceConfig::default()
+            ..BatchConfig::subarray(rows.div_ceil(8).max(1), 512)
         });
         Ok(InMemoryTable { dev, rows, columns: Vec::new() })
     }
@@ -190,31 +189,31 @@ impl InMemoryTable {
     /// [`CoreError::UnknownColumn`] for a column the table lacks, and
     /// [`CoreError::ConstantOutOfRange`] for a comparison constant wider
     /// than its column; both are reported before any device work.
-    pub fn selection_mask(&mut self, q: &QueryPredicate) -> Result<RowHandle, CoreError> {
+    pub fn selection_mask(&mut self, q: &QueryPredicate) -> Result<BatchHandle, CoreError> {
         self.check(q)?;
         self.mask(q)
     }
 
     /// [`InMemoryTable::selection_mask`] of an already checked predicate.
-    fn mask(&mut self, q: &QueryPredicate) -> Result<RowHandle, CoreError> {
+    fn mask(&mut self, q: &QueryPredicate) -> Result<BatchHandle, CoreError> {
         match q {
             QueryPredicate::Cmp { column, pred, constant } => {
                 let planes = self.column(column)?.planes.clone();
-                compare_on_device(&mut self.dev, &planes, *pred, *constant, self.rows)
+                compare_on_array(&mut self.dev, &planes, *pred, *constant, self.rows)
             }
             QueryPredicate::And(a, b) | QueryPredicate::Or(a, b) => {
                 let op =
                     if matches!(q, QueryPredicate::And(..)) { LogicOp::And } else { LogicOp::Or };
                 let ma = self.mask(a)?;
                 let mb = self.mask(b)?;
-                let m = self.dev.binary(op, ma, mb)?;
+                let (m, _) = self.dev.binary(op, ma, mb)?;
                 self.dev.release(ma)?;
                 self.dev.release(mb)?;
                 Ok(m)
             }
             QueryPredicate::Not(p) => {
                 let mp = self.mask(p)?;
-                let m = self.dev.not(mp)?;
+                let (m, _) = self.dev.not(mp)?;
                 self.dev.release(mp)?;
                 Ok(m)
             }
@@ -248,7 +247,7 @@ impl InMemoryTable {
         let mask = self.selection_mask(q)?;
         let mut sum = 0u64;
         for (i, &plane) in planes.iter().enumerate() {
-            let selected = self.dev.and(plane, mask)?;
+            let (selected, _) = self.dev.binary(LogicOp::And, plane, mask)?;
             let ones = self.dev.load(selected)?.count_ones() as u64;
             self.dev.release(selected)?;
             let bit = width - 1 - i as u32; // planes are MSB first
@@ -281,7 +280,7 @@ impl InMemoryTable {
             let m = self.selection_mask(&q)?;
             let counted = match mask {
                 Some(f) => {
-                    let joint = self.dev.and(m, f)?;
+                    let (joint, _) = self.dev.binary(LogicOp::And, m, f)?;
                     let n = self.dev.load(joint)?.count_ones();
                     self.dev.release(joint)?;
                     n

@@ -1,9 +1,7 @@
-//! A handle-based bulk bitwise device over the Ambit engine — the same
-//! user-facing surface as
-//! [`Elp2imDevice`](elp2im_core::device::Elp2imDevice), so workloads can
-//! run functionally on either design and their substrate statistics can be
-//! compared one-to-one (the cross-design checks live in the workspace
-//! integration tests).
+//! A handle-based bulk bitwise device over one Ambit subarray, so
+//! workloads can run functionally on Ambit and on a one-subarray ELP2IM
+//! `DeviceArray` and their substrate statistics can be compared one-to-one
+//! (the cross-design checks live in the workspace integration tests).
 
 use crate::ambit::{AmbitEngine, AmbitError};
 use elp2im_core::bitvec::BitVec;

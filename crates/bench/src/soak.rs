@@ -1,8 +1,9 @@
 //! Fault-injection soak harness (BENCH_007).
 //!
-//! Drives a long random workload of bulk AND/OR/XOR operations through an
-//! [`Elp2imDevice`] whose engine injects per-column bit flips from a
-//! seed-derived [`ChipProfile`], and compares three protection policies:
+//! Drives a long random workload of bulk AND/OR/XOR operations through a
+//! one-subarray [`DeviceArray`] whose engine injects per-column bit flips
+//! from a seed-derived [`ChipProfile`], and compares three protection
+//! policies:
 //!
 //! * **Unprotected** — plain `binary()`, no verification. Establishes the
 //!   raw logical error rate of the faulty chip.
@@ -23,9 +24,9 @@ use crate::report::Table;
 use elp2im_apps::ecc::ParityGuard;
 use elp2im_apps::workload;
 use elp2im_circuit::profile::{ChipProfile, ProfileConfig};
+use elp2im_core::batch::{BatchConfig, BatchHandle, DeviceArray};
 use elp2im_core::bitvec::BitVec;
-use elp2im_core::compile::{CompileMode, LogicOp};
-use elp2im_core::device::{DeviceConfig, Elp2imDevice, RowHandle};
+use elp2im_core::compile::LogicOp;
 use elp2im_core::faulty::{ColumnFaultModel, FaultPolicy};
 use rand::Rng;
 
@@ -153,17 +154,15 @@ fn software_op(op: LogicOp, a: &BitVec, b: &BitVec) -> BitVec {
 pub fn run_soak(cfg: &SoakConfig, policy: SoakPolicy) -> SoakOutcome {
     let model = soak_fault_model(cfg);
     let weak = !model.weak_columns(cfg.weak_threshold).is_empty();
-    let mut dev = Elp2imDevice::new(DeviceConfig {
-        width: cfg.width,
-        data_rows: 64,
+    let mut dev = DeviceArray::new(BatchConfig {
         reserved_rows: 2,
-        mode: CompileMode::LowLatency,
+        ..BatchConfig::subarray(cfg.width.div_ceil(8), 64)
     });
-    dev.set_fault_model(Some(model));
+    dev.set_fault_models(vec![Some(model)]);
 
     let mut rng = workload::rng(cfg.seed ^ 0x057A_CCA7);
     let mut truth: Vec<BitVec> = Vec::with_capacity(cfg.base_rows);
-    let mut bases: Vec<RowHandle> = Vec::with_capacity(cfg.base_rows);
+    let mut bases: Vec<BatchHandle> = Vec::with_capacity(cfg.base_rows);
     for _ in 0..cfg.base_rows {
         let v = workload::random_bitvec(&mut rng, cfg.width, 0.5);
         bases.push(dev.store(&v).unwrap());
@@ -196,7 +195,7 @@ pub fn run_soak(cfg: &SoakConfig, policy: SoakPolicy) -> SoakOutcome {
         let expected = software_op(op, &truth[ia], &truth[ib]);
 
         let mut h = match policy {
-            SoakPolicy::Unprotected => dev.binary(op, bases[ia], bases[ib]).unwrap(),
+            SoakPolicy::Unprotected => dev.binary(op, bases[ia], bases[ib]).unwrap().0,
             _ => dev.binary_checked(op, bases[ia], bases[ib], &fault_policy).unwrap().handle,
         };
 

@@ -1,5 +1,6 @@
-//! The multi-bank device: bank-parallel batch execution over a whole
-//! channel/rank/bank topology.
+//! The bulk bitwise device: bank-parallel batch execution over a
+//! channel/rank/bank topology, from a single subarray
+//! ([`BatchConfig::subarray`]) up.
 //!
 //! [`DeviceArray`] shards bulk bitwise operations across every bank of its
 //! [`Topology`] so their primitive streams overlap on the ranks. Its
@@ -106,6 +107,22 @@ impl BatchConfig {
         c
     }
 
+    /// One subarray of `rows` data rows of `row_bytes` each: a single
+    /// channel, rank, bank and subarray, everything else default. The
+    /// array then behaves as one ELP2IM subarray (makespan = busy time);
+    /// vectors wider than a row still stripe, over further rows of it.
+    pub fn subarray(row_bytes: usize, rows: usize) -> Self {
+        BatchConfig {
+            topology: Topology::module(Geometry {
+                banks: 1,
+                subarrays_per_bank: 1,
+                rows_per_subarray: rows,
+                row_bytes,
+            }),
+            ..BatchConfig::default()
+        }
+    }
+
     /// The default configuration scaled out to `channels` ×
     /// `ranks_per_channel` DDR3 ranks (8 banks each).
     pub fn with_topology(channels: usize, ranks_per_channel: usize) -> Self {
@@ -150,11 +167,9 @@ impl BatchEntry {
     /// injection) goes through this one bounds-checked mapping.
     fn locate(&self, bit: usize, row_bits: usize) -> Result<(Stripe, usize), CoreError> {
         if bit >= self.len {
-            return Err(CoreError::InvalidHandle(bit));
+            return Err(CoreError::BitOutOfRange { bit, len: self.len });
         }
-        let stripe =
-            self.stripes.get(bit / row_bits).copied().ok_or(CoreError::InvalidHandle(bit))?;
-        Ok((stripe, bit % row_bits))
+        Ok((self.stripes[bit / row_bits], bit % row_bits))
     }
 }
 
@@ -205,7 +220,8 @@ impl BatchRun {
     }
 }
 
-/// A bank-parallel batch execution engine over a multi-bank module.
+/// The bulk bitwise device: a bank-parallel batch execution engine over
+/// a topology of any size, down to one subarray.
 ///
 /// ```
 /// use elp2im_core::batch::{BatchConfig, DeviceArray};
@@ -559,6 +575,15 @@ impl DeviceArray {
         Ok(BatchHandle(id))
     }
 
+    /// Logical bit length of a stored vector.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidHandle`] for dead handles.
+    pub fn length(&self, h: BatchHandle) -> Result<usize, CoreError> {
+        Ok(self.entry(h)?.len)
+    }
+
     /// Loads a vector back, merging stripes in placement order.
     ///
     /// # Errors
@@ -579,8 +604,8 @@ impl DeviceArray {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidHandle`] for dead handles or a `bit` beyond the
-    /// vector's length.
+    /// [`CoreError::InvalidHandle`] for dead handles;
+    /// [`CoreError::BitOutOfRange`] for a `bit` beyond the vector's length.
     pub fn element(&self, h: BatchHandle, bit: usize) -> Result<bool, CoreError> {
         let (s, column) = self.entry(h)?.locate(bit, self.row_bits())?;
         self.banks[s.bank].engines[s.subarray].bit(RowRef::Data(s.row), column)
@@ -603,7 +628,12 @@ impl DeviceArray {
             .get_mut(h.0)
             .and_then(Option::take)
             .ok_or(CoreError::InvalidHandle(h.0))?;
-        for s in entry.stripes {
+        self.free_stripes(&entry.stripes)
+    }
+
+    /// Returns each stripe's row to its subarray's allocator.
+    fn free_stripes(&mut self, stripes: &[Stripe]) -> Result<(), CoreError> {
+        for s in stripes {
             self.banks[s.bank].allocs[s.subarray].free(s.row)?;
         }
         Ok(())
@@ -615,8 +645,8 @@ impl DeviceArray {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidHandle`] for dead handles or a `bit` beyond the
-    /// vector's length.
+    /// [`CoreError::InvalidHandle`] for dead handles;
+    /// [`CoreError::BitOutOfRange`] for a `bit` beyond the vector's length.
     pub fn inject_bit_error(&mut self, h: BatchHandle, bit: usize) -> Result<Stripe, CoreError> {
         let (s, column) = self.entry(h)?.locate(bit, self.row_bits())?;
         self.banks[s.bank].engines[s.subarray].inject_bit_error(RowRef::Data(s.row), column)?;
@@ -668,58 +698,71 @@ impl DeviceArray {
         if let Some(e) = self.banks.first().and_then(|b| b.engines.first()) {
             plan.timing = e.timing().clone();
         }
-        for (ci, sa) in ea.stripes.iter().enumerate() {
-            let rb = match &eb {
-                Some(eb) => {
-                    let sb = eb.stripes[ci];
-                    debug_assert_eq!(
-                        (sa.bank, sa.subarray),
-                        (sb.bank, sb.subarray),
-                        "channel-major placement keeps operand stripes co-located"
-                    );
-                    sb.row
-                }
-                None => sa.row,
-            };
-            // Live-in snapshot at first touch: a data row is live iff the
-            // allocator owns it AND the engine has real data in it (the
-            // engine's live bits overapproximate — they stay set for
-            // released rows); reserved rows carry scratch residue and
-            // count as live whenever written.
-            plan.live_in.entry((sa.bank, sa.subarray)).or_insert_with(|| {
-                self.banks[sa.bank].engines[sa.subarray]
-                    .live_rows()
-                    .into_iter()
-                    .filter(|r| match r {
-                        PhysRow::Data(i) => {
-                            self.banks[sa.bank].allocs[sa.subarray].is_allocated(*i)
-                        }
-                        PhysRow::Dcc(_) => true,
-                    })
-                    .collect()
-            });
-            let dst = self.banks[sa.bank].allocs[sa.subarray].alloc()?;
-            let rows = Operands { a: sa.row, b: rb, dst, scratch: None };
-            let prog = match &compiled {
-                Some((r, p)) if *r == rows => Arc::clone(p),
-                _ => {
-                    let p =
-                        Arc::new(compile(op, self.config.mode, rows, self.config.reserved_rows)?);
-                    compiled = Some((rows, Arc::clone(&p)));
-                    p
-                }
-            };
-            let timing = self.banks[sa.bank].engines[sa.subarray].timing();
-            let profiles = prog.profiles(timing);
-            streams.entry(sa.bank).or_default().extend(profiles);
-            plan.steps.push(PlanStep {
-                unit: sa.bank,
-                subarray: sa.subarray,
-                stream: self.config.topology.path(sa.bank),
-                program: Arc::clone(&prog),
-            });
-            work[sa.bank].push((sa.subarray, prog));
-            stripes.push(Stripe { bank: sa.bank, subarray: sa.subarray, row: dst });
+        // A stripe's destination row is taken before its program compiles,
+        // so a failure part-way returns every row taken so far.
+        let filled = (|| -> Result<(), CoreError> {
+            for (ci, sa) in ea.stripes.iter().enumerate() {
+                let rb = match &eb {
+                    Some(eb) => {
+                        let sb = eb.stripes[ci];
+                        debug_assert_eq!(
+                            (sa.bank, sa.subarray),
+                            (sb.bank, sb.subarray),
+                            "channel-major placement keeps operand stripes co-located"
+                        );
+                        sb.row
+                    }
+                    None => sa.row,
+                };
+                // Live-in snapshot at first touch: a data row is live iff the
+                // allocator owns it AND the engine has real data in it (the
+                // engine's live bits overapproximate — they stay set for
+                // released rows); reserved rows carry scratch residue and
+                // count as live whenever written.
+                plan.live_in.entry((sa.bank, sa.subarray)).or_insert_with(|| {
+                    self.banks[sa.bank].engines[sa.subarray]
+                        .live_rows()
+                        .into_iter()
+                        .filter(|r| match r {
+                            PhysRow::Data(i) => {
+                                self.banks[sa.bank].allocs[sa.subarray].is_allocated(*i)
+                            }
+                            PhysRow::Dcc(_) => true,
+                        })
+                        .collect()
+                });
+                let dst = self.banks[sa.bank].allocs[sa.subarray].alloc()?;
+                stripes.push(Stripe { bank: sa.bank, subarray: sa.subarray, row: dst });
+                let rows = Operands { a: sa.row, b: rb, dst, scratch: None };
+                let prog = match &compiled {
+                    Some((r, p)) if *r == rows => Arc::clone(p),
+                    _ => {
+                        let p = Arc::new(compile(
+                            op,
+                            self.config.mode,
+                            rows,
+                            self.config.reserved_rows,
+                        )?);
+                        compiled = Some((rows, Arc::clone(&p)));
+                        p
+                    }
+                };
+                let timing = self.banks[sa.bank].engines[sa.subarray].timing();
+                let profiles = prog.profiles(timing);
+                streams.entry(sa.bank).or_default().extend(profiles);
+                plan.steps.push(PlanStep {
+                    unit: sa.bank,
+                    subarray: sa.subarray,
+                    stream: self.config.topology.path(sa.bank),
+                    program: Arc::clone(&prog),
+                });
+                work[sa.bank].push((sa.subarray, prog));
+            }
+            Ok(())
+        })();
+        if let Err(e) = filled {
+            self.free_stripes(&stripes)?;
+            return Err(e);
         }
         self.last_plan = Some(plan);
         let streams = streams
@@ -769,13 +812,12 @@ impl DeviceArray {
         })
     }
 
-    fn run_op(
+    /// Certifies (debug builds), runs and schedules a prepared operation.
+    fn execute(
         &mut self,
-        op: LogicOp,
-        a: BatchHandle,
-        b: Option<BatchHandle>,
-    ) -> Result<(BatchHandle, BatchRun), CoreError> {
-        let (entry, work, streams) = self.prepare(op, a, b)?;
+        work: &UnitWork,
+        streams: &[(TopoPath, Vec<CommandProfile>)],
+    ) -> Result<Schedule, CoreError> {
         // Debug builds certify every prepared plan before anything runs:
         // the borrow checker, hazard analysis, and timing proofs must all
         // accept what the batch layer is about to execute. A rejection
@@ -786,12 +828,28 @@ impl DeviceArray {
         {
             return Err(CoreError::PlanRejected(err.to_string()));
         }
-        self.run_banks(&work)?;
-        let schedule = match self.sink.as_mut() {
-            Some(sink) => self.scheduler.schedule_traced(&streams, sink.as_mut()),
-            None => self.scheduler.schedule(&streams),
+        self.run_banks(work)?;
+        match self.sink.as_mut() {
+            Some(sink) => self.scheduler.schedule_traced(streams, sink.as_mut()),
+            None => self.scheduler.schedule(streams),
         }
-        .map_err(CoreError::Schedule)?;
+        .map_err(CoreError::Schedule)
+    }
+
+    fn run_op(
+        &mut self,
+        op: LogicOp,
+        a: BatchHandle,
+        b: Option<BatchHandle>,
+    ) -> Result<(BatchHandle, BatchRun), CoreError> {
+        let (entry, work, streams) = self.prepare(op, a, b)?;
+        let schedule = match self.execute(&work, &streams) {
+            Ok(schedule) => schedule,
+            Err(e) => {
+                self.free_stripes(&entry.stripes)?;
+                return Err(e);
+            }
+        };
         let banks_used = streams.len();
         let channels_used = {
             let mut channels: Vec<usize> = streams.iter().map(|(p, _)| p.channel).collect();
@@ -920,9 +978,7 @@ impl DeviceArray {
         b: Option<BatchHandle>,
     ) -> Result<BatchPlan, CoreError> {
         let (entry, _work, _streams) = self.prepare(op, a, b)?;
-        for s in entry.stripes {
-            self.banks[s.bank].allocs[s.subarray].free(s.row)?;
-        }
+        self.free_stripes(&entry.stripes)?;
         Ok(self.last_plan.clone().expect("prepare always records a plan"))
     }
 
@@ -1119,7 +1175,68 @@ mod tests {
             let got = m.load(hc).unwrap();
             let want: BitVec = (0..bits).map(|i| op.eval(a.get(i), b.get(i))).collect();
             assert_eq!(got, want, "{op}");
+            // Operands must survive the operation.
+            assert_eq!(m.load(ha).unwrap(), a, "{op} clobbered a");
+            assert_eq!(m.load(hb).unwrap(), b, "{op} clobbered b");
         }
+    }
+
+    #[test]
+    fn stats_track_command_mix() {
+        // LowLatency AND = oAAP, oAPP, oAAP; with two reserved rows XOR
+        // compiles to seq6 (6 primitives).
+        for (reserved_rows, op, commands) in [(1, LogicOp::And, 3), (2, LogicOp::Xor, 6)] {
+            let mut m =
+                DeviceArray::new(BatchConfig { reserved_rows, ..BatchConfig::subarray(8, 16) });
+            let a = m.store(&BitVec::from_words(&[0b0011], 4)).unwrap();
+            let b = m.store(&BitVec::from_words(&[0b0101], 4)).unwrap();
+            let (c, _) = m.binary(op, a, b).unwrap();
+            let want: BitVec = (0..4).map(|i| op.eval(i < 2, i % 2 == 0)).collect();
+            assert_eq!(m.load(c).unwrap(), want, "{op}");
+            let s = m.stats();
+            assert_eq!(s.total_commands(), commands, "{op}");
+            if op == LogicOp::And {
+                assert_eq!(s.commands.get("oAAP"), Some(&2));
+                assert_eq!(s.commands.get("oAPP"), Some(&1));
+                assert!(s.busy_time.as_f64() > 150.0);
+            }
+        }
+    }
+
+    #[test]
+    fn capacity_exhaustion_reported() {
+        let mut m = DeviceArray::new(BatchConfig::subarray(1, 2));
+        let _ = m.store(&BitVec::ones(1)).unwrap();
+        let _ = m.store(&BitVec::ones(1)).unwrap();
+        assert!(matches!(m.store(&BitVec::ones(1)), Err(CoreError::CapacityExceeded { .. })));
+    }
+
+    #[test]
+    fn failed_op_frees_destination_row() {
+        // XOR with zero reserved rows fails to compile after the first
+        // stripe's destination row is taken.
+        let mut m = DeviceArray::new(BatchConfig {
+            topology: Topology::module(tiny_geometry(2)),
+            reserved_rows: 0,
+            mode: CompileMode::LowLatency,
+            budget: PumpBudget::unconstrained(),
+        });
+        let bits = m.row_bits() * 2;
+        let a = m.store(&pattern(bits, 2)).unwrap();
+        let b = m.store(&pattern(bits, 3)).unwrap();
+        let live = live_rows(&m);
+        assert!(matches!(
+            m.binary(LogicOp::Xor, a, b),
+            Err(CoreError::NotEnoughReservedRows { .. })
+        ));
+        assert_eq!(live_rows(&m), live);
+        // The subarray runs out of rows between a NOT's two stripes.
+        let mut m = DeviceArray::new(BatchConfig::subarray(1, 4));
+        let a = m.store(&pattern(16, 3)).unwrap();
+        let _ = m.store(&pattern(8, 2)).unwrap();
+        let live = live_rows(&m);
+        assert!(matches!(m.not(a), Err(CoreError::CapacityExceeded { .. })));
+        assert_eq!(live_rows(&m), live);
     }
 
     #[test]
@@ -1269,7 +1386,7 @@ mod tests {
         for i in 0..bits {
             assert_eq!(m.element(h, i).unwrap(), loaded.get(i), "bit {i}");
         }
-        assert!(matches!(m.element(h, bits), Err(CoreError::InvalidHandle(_))));
+        assert_eq!(m.element(h, bits), Err(CoreError::BitOutOfRange { bit: bits, len: bits }));
         m.release(h).unwrap();
         assert!(matches!(m.element(h, 0), Err(CoreError::InvalidHandle(_))));
     }

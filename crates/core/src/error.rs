@@ -40,6 +40,13 @@ pub enum CoreError {
     },
     /// A device handle did not name a live row.
     InvalidHandle(usize),
+    /// A bit index lay beyond the end of a stored vector.
+    BitOutOfRange {
+        /// The requested bit.
+        bit: usize,
+        /// The vector's length in bits.
+        len: usize,
+    },
     /// The subarray has no free data rows left.
     CapacityExceeded {
         /// Data rows in the subarray.
@@ -112,6 +119,9 @@ impl fmt::Display for CoreError {
                 write!(f, "overlapped activation of {a} and {b} requires different decoder domains")
             }
             CoreError::InvalidHandle(h) => write!(f, "invalid row handle {h}"),
+            CoreError::BitOutOfRange { bit, len } => {
+                write!(f, "bit {bit} out of range for a {len}-bit vector")
+            }
             CoreError::CapacityExceeded { rows } => {
                 write!(f, "no free rows (subarray capacity {rows})")
             }

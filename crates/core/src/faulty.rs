@@ -123,9 +123,8 @@ impl ColumnFaultModel {
     }
 }
 
-/// Retry/verify policy of the fault-aware executors
-/// ([`DeviceArray::binary_checked`](crate::batch::DeviceArray::binary_checked),
-/// [`Elp2imDevice::binary_checked`](crate::device::Elp2imDevice::binary_checked)).
+/// Retry/verify policy of the fault-aware executor
+/// ([`DeviceArray::binary_checked`](crate::batch::DeviceArray::binary_checked)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Verify results by recomputing and comparing (skipped automatically

@@ -24,12 +24,12 @@
 //!   e-graph saturation → minimum-latency extraction under the Table-1
 //!   cost model → truth-table translation validation.
 //! * [`rowmap`] — subarray row allocation with reserved-row bookkeeping.
-//! * [`device`] — [`device::Elp2imDevice`], the user-facing bulk bitwise
-//!   device.
-//! * [`batch`] — [`batch::DeviceArray`], the multi-bank device:
-//!   channel-major striping across a channel/rank/bank topology, with
-//!   host-parallel functional simulation, hierarchical scheduling under
-//!   the charge-pump budget, and gate-at-a-time [`expr::Expr`] evaluation.
+//! * [`batch`] — [`batch::DeviceArray`], the user-facing bulk bitwise
+//!   device at every scale, from one subarray
+//!   ([`batch::BatchConfig::subarray`]) to a whole channel/rank/bank
+//!   topology: channel-major striping, host-parallel functional
+//!   simulation, hierarchical scheduling under the charge-pump budget,
+//!   and gate-at-a-time [`expr::Expr`] evaluation.
 //! * [`planlint`] — the plan-level static verifier: interprocedural row
 //!   borrow checking, cross-stream hazard analysis, and static timing
 //!   proofs over whole batch plans before anything executes.
@@ -37,14 +37,16 @@
 //! # Example
 //!
 //! ```
-//! use elp2im_core::device::{DeviceConfig, Elp2imDevice};
+//! use elp2im_core::batch::{BatchConfig, DeviceArray};
 //! use elp2im_core::bitvec::BitVec;
+//! use elp2im_core::compile::LogicOp;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut dev = Elp2imDevice::new(DeviceConfig::default());
+//! // One subarray of 512 rows, 1 KiB each.
+//! let mut dev = DeviceArray::new(BatchConfig::subarray(1024, 512));
 //! let a = dev.store(&BitVec::from_bools(&[true, true, false, false]))?;
 //! let b = dev.store(&BitVec::from_bools(&[true, false, true, false]))?;
-//! let x = dev.xor(a, b)?;
+//! let (x, _) = dev.binary(LogicOp::Xor, a, b)?;
 //! assert_eq!(dev.load(x)?.to_bools(), vec![false, true, true, false]);
 //! # Ok(())
 //! # }
@@ -58,7 +60,6 @@ pub mod analysis;
 pub mod batch;
 pub mod bitvec;
 pub mod compile;
-pub mod device;
 pub mod egraph;
 pub mod engine;
 pub mod error;
@@ -77,7 +78,6 @@ pub use analysis::{analyze, verify_transform, AnalysisReport, Diagnostic, Severi
 pub use batch::{BatchConfig, BatchHandle, BatchRun, CheckedRun, DeviceArray, Stripe};
 pub use bitvec::BitVec;
 pub use compile::{CompileMode, LogicOp};
-pub use device::{CheckedOp, DeviceConfig, Elp2imDevice};
 pub use engine::SubarrayEngine;
 pub use error::CoreError;
 pub use expr::{compile_expr, compile_expr_greedy, Expr, ExprOperands};

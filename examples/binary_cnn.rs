@@ -8,8 +8,9 @@ use elp2im::apps::backend::PimBackend;
 use elp2im::apps::dracc::{table2_networks, DraccStudy};
 use elp2im::apps::nid::{table3_networks, NidStudy};
 use elp2im::apps::workload;
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
+use elp2im::core::compile::LogicOp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Functional binary dot product: 9 weight planes x 256 lanes. ---
@@ -23,17 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let weights: Vec<BitVec> =
         (0..fan_in).map(|_| workload::random_bitvec(&mut rng, lanes, 0.5)).collect();
 
-    let mut dev = Elp2imDevice::new(DeviceConfig {
-        width: 256,
-        data_rows: 256,
-        reserved_rows: 2,
-        ..DeviceConfig::default()
-    });
+    let mut dev =
+        DeviceArray::new(BatchConfig { reserved_rows: 2, ..BatchConfig::subarray(32, 256) });
     let mut xor_planes = Vec::new();
     for (a, w) in activations.iter().zip(&weights) {
         let ha = dev.store(a)?;
         let hw = dev.store(w)?;
-        let hx = dev.xor(ha, hw)?;
+        let (hx, _) = dev.binary(LogicOp::Xor, ha, hw)?;
         dev.release(ha)?;
         dev.release(hw)?;
         xor_planes.push(hx);

@@ -1,12 +1,12 @@
-//! The §6.3.1 bitmap-index scenario, both functionally (on the ELP2IM
-//! device) and as the Fig. 13 throughput study.
+//! The §6.3.1 bitmap-index scenario, both functionally (on one ELP2IM
+//! subarray) and as the Fig. 13 throughput study.
 //!
 //! Run with `cargo run --example bitmap_analytics`.
 
 use elp2im::apps::backend::PimBackend;
-use elp2im::apps::bitmap::{reference_queries, run_queries, BitmapStudy};
+use elp2im::apps::bitmap::{reference_queries, run_queries_batch, BitmapStudy};
 use elp2im::apps::workload;
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Functional execution on a small population. ---
@@ -17,10 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0..weeks).map(|_| workload::random_bitvec(&mut rng, users, 0.7)).collect();
     let gender = workload::random_bitvec(&mut rng, users, 0.5);
 
-    let mut dev = Elp2imDevice::new(DeviceConfig { width: users, ..DeviceConfig::default() });
+    let mut dev = DeviceArray::new(BatchConfig::subarray(users / 8, 512));
     let handles: Vec<_> = week_maps.iter().map(|w| dev.store(w)).collect::<Result<_, _>>()?;
     let gh = dev.store(&gender)?;
-    let (all, male) = run_queries(&mut dev, &handles, gh)?;
+    let (all, male, _) = run_queries_batch(&mut dev, &handles, gh)?;
 
     let (ref_all, ref_male) = reference_queries(&week_maps, &gender);
     assert_eq!(dev.load(all)?, ref_all);

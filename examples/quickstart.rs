@@ -1,14 +1,16 @@
-//! Quickstart: bulk bitwise operations on an ELP2IM device.
+//! Quickstart: bulk bitwise operations on one ELP2IM subarray.
 //!
 //! Run with `cargo run --example quickstart`.
 
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
+use elp2im::core::compile::LogicOp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A device with the paper's base configuration: one reserved
-    // dual-contact row, reduced-latency compilation.
-    let mut dev = Elp2imDevice::new(DeviceConfig::default());
+    // One 512-row subarray of 1 KiB rows in the paper's base
+    // configuration: one reserved dual-contact row, reduced-latency
+    // compilation.
+    let mut dev = DeviceArray::new(BatchConfig::subarray(1024, 512));
 
     // Store two 16-bit vectors.
     let a = BitVec::from_words(&[0b1100_1010_1111_0000], 16);
@@ -17,13 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hb = dev.store(&b)?;
 
     // Every basic operation of Fig. 12.
-    let and = dev.and(ha, hb)?;
-    let or = dev.or(ha, hb)?;
-    let xor = dev.xor(ha, hb)?;
-    let nand = dev.nand(ha, hb)?;
-    let nor = dev.nor(ha, hb)?;
-    let xnor = dev.xnor(ha, hb)?;
-    let not = dev.not(ha)?;
+    let (and, _) = dev.binary(LogicOp::And, ha, hb)?;
+    let (or, _) = dev.binary(LogicOp::Or, ha, hb)?;
+    let (xor, _) = dev.binary(LogicOp::Xor, ha, hb)?;
+    let (nand, _) = dev.binary(LogicOp::Nand, ha, hb)?;
+    let (nor, _) = dev.binary(LogicOp::Nor, ha, hb)?;
+    let (xnor, _) = dev.binary(LogicOp::Xnor, ha, hb)?;
+    let (not, _) = dev.not(ha)?;
 
     println!("a      = {}", dev.load(ha)?);
     println!("b      = {}", dev.load(hb)?);

@@ -3,10 +3,10 @@
 //!
 //! Run with `cargo run --example table_scan`.
 
-use elp2im::apps::bitweaving::{less_than_on_device, VerticalLayout};
+use elp2im::apps::bitweaving::{less_than_on_array, VerticalLayout};
 use elp2im::apps::tablescan::{fig14_backends, TableScanStudy};
 use elp2im::apps::workload;
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Functional: SELECT COUNT(*) WHERE value < 42 over 2048 rows. ---
@@ -17,9 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let values = workload::random_values(&mut rng, n, width);
     let layout = VerticalLayout::from_values(&values, width);
 
-    let mut dev = Elp2imDevice::new(DeviceConfig { width: n, ..DeviceConfig::default() });
+    let mut dev = DeviceArray::new(BatchConfig::subarray(n / 8, 512));
     let planes: Vec<_> = layout.planes().iter().map(|p| dev.store(p)).collect::<Result<_, _>>()?;
-    let lt = less_than_on_device(&mut dev, &planes, constant, n)?;
+    let lt = less_than_on_array(&mut dev, &planes, constant, n)?;
     let count = dev.load(lt)?.count_ones();
 
     let scalar = values.iter().filter(|&&v| v < constant).count();

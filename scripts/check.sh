@@ -17,8 +17,10 @@ cargo test --workspace -q
 echo "==> every bench target builds"
 cargo bench --workspace --no-run -q
 
-echo "==> expressions example (device results checked against software)"
-cargo run -q --release --example expressions > /dev/null
+echo "==> every example (most assert device results against software)"
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "==> bench binaries (--smoke: render -> parse -> schema-validate every report)"
 cargo run -q --release -p elp2im-bench --bin all_experiments -- --smoke > /dev/null

@@ -10,9 +10,9 @@
 
 use elp2im::circuit::params::CircuitParams;
 use elp2im::circuit::primitive::fig10_waveform;
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
 use elp2im::core::compile::{compile, CompileMode, LogicOp, Operands};
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
 use elp2im::core::engine::SubarrayEngine;
 use elp2im::core::parse::parse_program;
 use elp2im::core::primitive::RowRef;
@@ -55,14 +55,12 @@ fn cmd_op(args: &[String]) -> Result<(), String> {
     let [op_s, rest @ ..] = args else { return Err("op: missing operation".into()) };
     let op = parse_op(op_s)?;
     let a = parse_bits(rest.first().ok_or("op: missing first operand")?)?;
-    let mut dev = Elp2imDevice::new(DeviceConfig {
-        width: a.len().max(8),
-        data_rows: 16,
+    let mut dev = DeviceArray::new(BatchConfig {
         reserved_rows: 2,
-        ..DeviceConfig::default()
+        ..BatchConfig::subarray(a.len().div_ceil(8), 16)
     });
     let ha = dev.store(&a).map_err(|e| e.to_string())?;
-    let result = if op.is_unary() {
+    let (result, _) = if op.is_unary() {
         dev.not(ha).map_err(|e| e.to_string())?
     } else {
         let b = parse_bits(rest.get(1).ok_or("op: missing second operand")?)?;

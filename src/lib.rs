@@ -17,14 +17,16 @@
 //! # Quickstart
 //!
 //! ```
-//! use elp2im::core::device::{Elp2imDevice, DeviceConfig};
+//! use elp2im::core::batch::{BatchConfig, DeviceArray};
 //! use elp2im::core::bitvec::BitVec;
+//! use elp2im::core::compile::LogicOp;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut dev = Elp2imDevice::new(DeviceConfig::default());
+//! // One subarray of 512 rows, 1 KiB each.
+//! let mut dev = DeviceArray::new(BatchConfig::subarray(1024, 512));
 //! let a = dev.store(&BitVec::from_bools(&[true, false, true, false]))?;
 //! let b = dev.store(&BitVec::from_bools(&[true, true, false, false]))?;
-//! let c = dev.and(a, b)?;
+//! let (c, _) = dev.binary(LogicOp::And, a, b)?;
 //! assert_eq!(dev.load(c)?.to_bools(), vec![true, false, false, false]);
 //! # Ok(())
 //! # }

@@ -3,9 +3,9 @@
 //! expose the architectural differences the paper quantifies.
 
 use elp2im::baselines::ambit_device::{AmbitDevice, AmbitDeviceConfig};
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
 use elp2im::core::compile::LogicOp;
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
 
 fn workload_vectors(n: usize, bits: usize) -> Vec<BitVec> {
     use elp2im::apps::workload;
@@ -18,12 +18,7 @@ fn workload_vectors(n: usize, bits: usize) -> Vec<BitVec> {
 fn bitmap_query_agrees_across_designs() {
     let vectors = workload_vectors(5, 128);
 
-    let mut elp = Elp2imDevice::new(DeviceConfig {
-        width: 128,
-        data_rows: 32,
-        reserved_rows: 1,
-        ..DeviceConfig::default()
-    });
+    let mut elp = DeviceArray::new(BatchConfig::subarray(16, 32));
     let mut ambit = AmbitDevice::new(AmbitDeviceConfig { width: 128, data_rows: 32 });
 
     let he: Vec<_> = vectors.iter().map(|v| elp.store(v).unwrap()).collect();
@@ -32,7 +27,7 @@ fn bitmap_query_agrees_across_designs() {
     let mut acc_e = he[0];
     let mut acc_a = ha[0];
     for i in 1..vectors.len() {
-        acc_e = elp.and(acc_e, he[i]).unwrap();
+        acc_e = elp.binary(LogicOp::And, acc_e, he[i]).unwrap().0;
         acc_a = ambit.and(acc_a, ha[i]).unwrap();
     }
     let result_e = elp.load(acc_e).unwrap();
@@ -61,21 +56,17 @@ fn bitmap_query_agrees_across_designs() {
 fn all_ops_agree_across_designs() {
     let vectors = workload_vectors(2, 96);
     for op in LogicOp::ALL {
-        let mut elp = Elp2imDevice::new(DeviceConfig {
-            width: 96,
-            data_rows: 16,
-            reserved_rows: 2,
-            ..DeviceConfig::default()
-        });
+        let mut elp =
+            DeviceArray::new(BatchConfig { reserved_rows: 2, ..BatchConfig::subarray(12, 16) });
         let mut ambit = AmbitDevice::new(AmbitDeviceConfig { width: 96, data_rows: 16 });
         let ea = elp.store(&vectors[0]).unwrap();
         let eb = elp.store(&vectors[1]).unwrap();
         let aa = ambit.store(&vectors[0]).unwrap();
         let ab = ambit.store(&vectors[1]).unwrap();
         let (re, ra) = if op.is_unary() {
-            (elp.not(ea).unwrap(), ambit.not(aa).unwrap())
+            (elp.not(ea).unwrap().0, ambit.not(aa).unwrap())
         } else {
-            (elp.binary(op, ea, eb).unwrap(), ambit.binary(op, aa, ab).unwrap())
+            (elp.binary(op, ea, eb).unwrap().0, ambit.binary(op, aa, ab).unwrap())
         };
         assert_eq!(elp.load(re).unwrap(), ambit.load(ra).unwrap(), "{op}");
     }
@@ -86,18 +77,14 @@ fn all_ops_agree_across_designs() {
 #[test]
 fn xor_energy_ordering() {
     let vectors = workload_vectors(2, 64);
-    let mut elp = Elp2imDevice::new(DeviceConfig {
-        width: 64,
-        data_rows: 16,
-        reserved_rows: 2,
-        ..DeviceConfig::default()
-    });
+    let mut elp =
+        DeviceArray::new(BatchConfig { reserved_rows: 2, ..BatchConfig::subarray(8, 16) });
     let mut ambit = AmbitDevice::new(AmbitDeviceConfig { width: 64, data_rows: 16 });
     let ea = elp.store(&vectors[0]).unwrap();
     let eb = elp.store(&vectors[1]).unwrap();
     let aa = ambit.store(&vectors[0]).unwrap();
     let ab = ambit.store(&vectors[1]).unwrap();
-    let _ = elp.xor(ea, eb).unwrap();
+    let _ = elp.binary(LogicOp::Xor, ea, eb).unwrap();
     let _ = ambit.xor(aa, ab).unwrap();
     assert!(
         elp.stats().energy.as_f64() < ambit.stats().energy.as_f64(),

@@ -4,10 +4,10 @@
 //! comparison.
 
 use elp2im::apps::arith::{bit_serial_add, bit_serial_popcount};
-use elp2im::apps::bitweaving::{less_than_on_device, VerticalLayout};
+use elp2im::apps::bitweaving::{less_than_on_array, VerticalLayout};
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
 use elp2im::core::compile::{compile, xor_sequence, CompileMode, LogicOp, Operands};
-use elp2im::core::device::{DeviceConfig, Elp2imDevice};
 use elp2im::core::engine::SubarrayEngine;
 use elp2im::core::primitive::RowRef;
 use proptest::prelude::*;
@@ -111,10 +111,10 @@ proptest! {
         b_vals in proptest::collection::vec(0u64..4096, 16),
     ) {
         let width = 12;
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: 16, data_rows: 160, reserved_rows: 2, ..DeviceConfig::default()
+        let mut dev = DeviceArray::new(BatchConfig {
+            reserved_rows: 2, ..BatchConfig::subarray(2, 160)
         });
-        let store = |dev: &mut Elp2imDevice, vals: &[u64]| -> Vec<_> {
+        let store = |dev: &mut DeviceArray, vals: &[u64]| -> Vec<_> {
             (0..width).map(|i| {
                 let plane: BitVec = vals.iter().map(|v| (v >> i) & 1 == 1).collect();
                 dev.store(&plane).unwrap()
@@ -136,8 +136,8 @@ proptest! {
     fn bit_serial_popcount_matches_reference(
         planes_bits in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 8), 1..7),
     ) {
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: 8, data_rows: 160, reserved_rows: 2, ..DeviceConfig::default()
+        let mut dev = DeviceArray::new(BatchConfig {
+            reserved_rows: 2, ..BatchConfig::subarray(1, 160)
         });
         let handles: Vec<_> = planes_bits.iter()
             .map(|p| dev.store(&BitVec::from_bools(p)).unwrap())
@@ -159,13 +159,11 @@ proptest! {
         constant in 0u64..256,
     ) {
         let layout = VerticalLayout::from_values(&values, 8);
-        let mut dev = Elp2imDevice::new(DeviceConfig {
-            width: 32, data_rows: 64, reserved_rows: 1, ..DeviceConfig::default()
-        });
+        let mut dev = DeviceArray::new(BatchConfig::subarray(4, 64));
         let planes: Vec<_> = layout.planes().iter()
             .map(|p| dev.store(p).unwrap())
             .collect();
-        let lt = less_than_on_device(&mut dev, &planes, constant, 32).unwrap();
+        let lt = less_than_on_array(&mut dev, &planes, constant, 32).unwrap();
         let got = dev.load(lt).unwrap();
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(got.get(i), v < constant, "value {} < {}", v, constant);

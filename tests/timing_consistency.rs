@@ -120,18 +120,13 @@ fn constraint_bounds_hold_in_simulation() {
 /// Device-level stats equal per-op program costs times operation count.
 #[test]
 fn device_stats_scale_linearly() {
-    use elp2im::core::device::{DeviceConfig, Elp2imDevice};
-    let mut dev = Elp2imDevice::new(DeviceConfig {
-        width: 32,
-        data_rows: 64,
-        reserved_rows: 1,
-        mode: CompileMode::LowLatency,
-    });
+    use elp2im::core::batch::{BatchConfig, DeviceArray};
+    let mut dev = DeviceArray::new(BatchConfig::subarray(4, 64));
     let a = dev.store(&BitVec::ones(32)).unwrap();
     let b = dev.store(&BitVec::zeros(32)).unwrap();
     let mut handles = Vec::new();
     for _ in 0..10 {
-        handles.push(dev.and(a, b).unwrap());
+        handles.push(dev.binary(LogicOp::And, a, b).unwrap().0);
     }
     // 10 ANDs at 3 commands each.
     assert_eq!(dev.stats().total_commands(), 30);
