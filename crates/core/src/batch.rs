@@ -48,7 +48,7 @@
 //!   operands.
 
 use crate::analysis::AnalysisCache;
-use crate::bitvec::BitVec;
+use crate::bitvec::{set_bits, BitVec};
 use crate::compile::{compile, CompileMode, LogicOp, Operands};
 use crate::error::CoreError;
 use crate::expr::Expr;
@@ -66,6 +66,7 @@ use elp2im_dram::hierarchy::HierarchicalScheduler;
 use elp2im_dram::interleave::Schedule;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
+use elp2im_dram::timing::Ddr3Timing;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -138,9 +139,14 @@ impl BatchConfig {
     }
 }
 
-/// Handle to a vector striped across the array.
+/// Handle to a vector striped across the array: a slot of the array's
+/// handle table plus that slot's generation, so a handle stays dead after
+/// its vector is released even once the slot holds a new vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BatchHandle(usize);
+pub struct BatchHandle {
+    slot: usize,
+    generation: u32,
+}
 
 /// Location of one row-sized stripe of a stored vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +176,59 @@ impl BatchEntry {
             return Err(CoreError::BitOutOfRange { bit, len: self.len });
         }
         Ok((self.stripes[bit / row_bits], bit % row_bits))
+    }
+}
+
+/// What [`DeviceArray`] records for the plan-level verifier as it prepares
+/// an op, cheap enough to take on every op although release builds never
+/// read it: the plan's steps (`Arc` bumps) plus one packed live-in bitset
+/// per touched (unit, subarray). [`PlanRecord::plan`] builds the
+/// [`BatchPlan`] from them on first read.
+#[derive(Debug, Default)]
+struct PlanRecord {
+    steps: Vec<PlanStep>,
+    /// Touched `(unit, subarray)` pairs, sorted; the `i`-th owns the `i`-th
+    /// run of `live_words` (layout of
+    /// [`SubarrayEngine::pack_live_rows`](crate::engine::SubarrayEngine::pack_live_rows)).
+    touched: Vec<(usize, usize)>,
+    live_words: Vec<u64>,
+    plan: OnceLock<BatchPlan>,
+}
+
+impl PlanRecord {
+    /// Empties the record for a new op, keeping its buffers.
+    fn clear(&mut self) {
+        self.steps.clear();
+        self.touched.clear();
+        self.live_words.clear();
+        self.plan = OnceLock::new();
+    }
+
+    /// The recorded plan over `config`'s topology, budget and subarray
+    /// shape with `timing` (DDR3-1600 when `None`), built on first call.
+    fn plan(&self, config: &BatchConfig, timing: Option<&Ddr3Timing>) -> &BatchPlan {
+        self.plan.get_or_init(|| {
+            let shape = SubarrayShape {
+                data_rows: config.geometry().rows_per_subarray,
+                dcc_rows: config.reserved_rows,
+            };
+            let mut plan = BatchPlan::new(config.topology.clone(), config.budget.clone(), shape);
+            if let Some(timing) = timing {
+                plan.timing = timing.clone();
+            }
+            plan.steps = self.steps.clone();
+            let words = (shape.data_rows + shape.dcc_rows).div_ceil(64);
+            for (i, &key) in self.touched.iter().enumerate() {
+                let rows = set_bits(&self.live_words[i * words..][..words])
+                    .map(|bit| match bit.checked_sub(shape.data_rows) {
+                        Some(dcc) => PhysRow::Dcc(dcc),
+                        None => PhysRow::Data(bit),
+                    })
+                    .collect();
+                plan.live_in.insert(key, rows);
+            }
+            plan
+        })
     }
 }
 
@@ -246,7 +305,15 @@ impl BatchRun {
 pub struct DeviceArray {
     config: BatchConfig,
     banks: Vec<BankUnit>,
+    /// The handle table, indexed by [`BatchHandle`] slot.
     vectors: Vec<Option<BatchEntry>>,
+    /// Released slots, reused most recently released first, so the table
+    /// never outgrows the most vectors ever live at once.
+    free_slots: Vec<usize>,
+    /// Each slot's generation, bumped on release; grows only on release,
+    /// and a slot beyond its end is at generation 0. (Generations wrap
+    /// after 2^32 releases of one slot.)
+    generations: Vec<u32>,
     scheduler: HierarchicalScheduler,
     totals: RunStats,
     /// Optional per-command trace receiver shared by every scheduled
@@ -264,9 +331,13 @@ pub struct DeviceArray {
     /// Retry/verify accounting of the fault-aware executor
     /// ([`DeviceArray::binary_checked`]).
     reliability: MetricsRegistry,
-    /// The batch plan of the most recent prepared operation, as handed to
-    /// the plan-level static verifier ([`crate::planlint::certify`]).
-    last_plan: Option<BatchPlan>,
+    /// What the most recently prepared operation recorded for the
+    /// plan-level static verifier ([`crate::planlint::certify`]); its
+    /// [`BatchPlan`] is built on first read ([`DeviceArray::last_plan`]).
+    last_plan: Option<PlanRecord>,
+    /// The record the operation being prepared fills; it replaces
+    /// `last_plan` only once preparation succeeds.
+    next_plan: PlanRecord,
 }
 
 /// Minimum word-work (primitives × words per row) each host worker must
@@ -343,6 +414,8 @@ impl DeviceArray {
             config,
             banks,
             vectors: Vec::new(),
+            free_slots: Vec::new(),
+            generations: Vec::new(),
             scheduler,
             totals: RunStats::new(),
             sink: None,
@@ -350,6 +423,7 @@ impl DeviceArray {
             bank_rank,
             reliability: MetricsRegistry::new(),
             last_plan: None,
+            next_plan: PlanRecord::default(),
         }
     }
 
@@ -411,7 +485,30 @@ impl DeviceArray {
     }
 
     fn entry(&self, h: BatchHandle) -> Result<&BatchEntry, CoreError> {
-        self.vectors.get(h.0).and_then(Option::as_ref).ok_or(CoreError::InvalidHandle(h.0))
+        self.vectors
+            .get(h.slot)
+            .and_then(Option::as_ref)
+            .filter(|_| self.generation(h.slot) == h.generation)
+            .ok_or(CoreError::InvalidHandle(h.slot))
+    }
+
+    fn generation(&self, slot: usize) -> u32 {
+        self.generations.get(slot).copied().unwrap_or(0)
+    }
+
+    /// Files `entry` under a fresh handle, reusing a released slot first.
+    fn insert(&mut self, entry: BatchEntry) -> BatchHandle {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.vectors[slot] = Some(entry);
+                slot
+            }
+            None => {
+                self.vectors.push(Some(entry));
+                self.vectors.len() - 1
+            }
+        };
+        BatchHandle { slot, generation: self.generation(slot) }
     }
 
     /// Channel-major stripe placement: stripe `i` lands on the `i %
@@ -570,9 +667,7 @@ impl DeviceArray {
             )?;
             stripes.push(stripe);
         }
-        let id = self.vectors.len();
-        self.vectors.push(Some(BatchEntry { len: value.len(), stripes }));
-        Ok(BatchHandle(id))
+        Ok(self.insert(BatchEntry { len: value.len(), stripes }))
     }
 
     /// Logical bit length of a stored vector.
@@ -623,11 +718,13 @@ impl DeviceArray {
     ///
     /// [`CoreError::InvalidHandle`] for dead handles.
     pub fn release(&mut self, h: BatchHandle) -> Result<(), CoreError> {
-        let entry = self
-            .vectors
-            .get_mut(h.0)
-            .and_then(Option::take)
-            .ok_or(CoreError::InvalidHandle(h.0))?;
+        self.entry(h)?;
+        let entry = self.vectors[h.slot].take().expect("entry() found the slot full");
+        if self.generations.len() <= h.slot {
+            self.generations.resize(h.slot + 1, 0);
+        }
+        self.generations[h.slot] = h.generation.wrapping_add(1);
+        self.free_slots.push(h.slot);
         self.free_stripes(&entry.stripes)
     }
 
@@ -684,19 +781,22 @@ impl DeviceArray {
         // same program; memoizing the last (rows -> program) pair turns the
         // per-stripe compile into an Arc bump.
         let mut compiled: Option<(Operands, Arc<Program>)> = None;
-        // The plan handed to the static verifier: same steps, same
-        // streams, plus a per-subarray live-in snapshot taken at first
-        // touch (before this operation's own destination allocations).
-        let mut plan = BatchPlan::new(
-            self.config.topology.clone(),
-            self.config.budget.clone(),
-            SubarrayShape {
-                data_rows: self.config.geometry().rows_per_subarray,
-                dcc_rows: self.config.reserved_rows,
-            },
-        );
-        if let Some(e) = self.banks.first().and_then(|b| b.engines.first()) {
-            plan.timing = e.timing().clone();
+        // What the static verifier's plan is built from on demand: the
+        // same steps, plus each touched subarray's live-in, snapshot before
+        // this operation's own destination allocations. A data row is live
+        // iff the allocator owns it AND the engine has real data in it (the
+        // engine's live bits overapproximate — they stay set for released
+        // rows); reserved rows carry scratch residue and count as live
+        // whenever written.
+        let record = &mut self.next_plan;
+        record.clear();
+        record.touched.extend(ea.stripes.iter().map(|s| (s.bank, s.subarray)));
+        record.touched.sort_unstable();
+        record.touched.dedup();
+        for &(unit, subarray) in &record.touched {
+            let bank = &self.banks[unit];
+            bank.engines[subarray]
+                .pack_live_rows(bank.allocs[subarray].allocated_words(), &mut record.live_words);
         }
         // A stripe's destination row is taken before its program compiles,
         // so a failure part-way returns every row taken so far.
@@ -714,23 +814,6 @@ impl DeviceArray {
                     }
                     None => sa.row,
                 };
-                // Live-in snapshot at first touch: a data row is live iff the
-                // allocator owns it AND the engine has real data in it (the
-                // engine's live bits overapproximate — they stay set for
-                // released rows); reserved rows carry scratch residue and
-                // count as live whenever written.
-                plan.live_in.entry((sa.bank, sa.subarray)).or_insert_with(|| {
-                    self.banks[sa.bank].engines[sa.subarray]
-                        .live_rows()
-                        .into_iter()
-                        .filter(|r| match r {
-                            PhysRow::Data(i) => {
-                                self.banks[sa.bank].allocs[sa.subarray].is_allocated(*i)
-                            }
-                            PhysRow::Dcc(_) => true,
-                        })
-                        .collect()
-                });
                 let dst = self.banks[sa.bank].allocs[sa.subarray].alloc()?;
                 stripes.push(Stripe { bank: sa.bank, subarray: sa.subarray, row: dst });
                 let rows = Operands { a: sa.row, b: rb, dst, scratch: None };
@@ -750,7 +833,7 @@ impl DeviceArray {
                 let timing = self.banks[sa.bank].engines[sa.subarray].timing();
                 let profiles = prog.profiles(timing);
                 streams.entry(sa.bank).or_default().extend(profiles);
-                plan.steps.push(PlanStep {
+                record.steps.push(PlanStep {
                     unit: sa.bank,
                     subarray: sa.subarray,
                     stream: self.config.topology.path(sa.bank),
@@ -764,7 +847,11 @@ impl DeviceArray {
             self.free_stripes(&stripes)?;
             return Err(e);
         }
-        self.last_plan = Some(plan);
+        // The finished record becomes the last plan; the one it replaces
+        // lends its buffers to the next operation.
+        let done =
+            std::mem::replace(&mut self.next_plan, self.last_plan.take().unwrap_or_default());
+        self.last_plan = Some(done);
         let streams = streams
             .into_iter()
             .map(|(unit, profiles)| (self.config.topology.path(unit), profiles))
@@ -824,7 +911,7 @@ impl DeviceArray {
         // here is a batch-layer bug surfacing, not a user error.
         #[cfg(debug_assertions)]
         if let Some(err) =
-            self.last_plan.as_ref().and_then(|p| crate::planlint::certify(p).first_error().cloned())
+            self.last_plan().and_then(|p| crate::planlint::certify(p).first_error().cloned())
         {
             return Err(CoreError::PlanRejected(err.to_string()));
         }
@@ -859,9 +946,7 @@ impl DeviceArray {
         // Operations are sequentially dependent at this layer: makespans
         // (and the background energy accrued over them) add.
         self.totals.merge_sequential(&schedule.stats);
-        let id = self.vectors.len();
-        self.vectors.push(Some(entry));
-        Ok((BatchHandle(id), BatchRun { schedule, banks_used, channels_used }))
+        Ok((self.insert(entry), BatchRun { schedule, banks_used, channels_used }))
     }
 
     /// Executes `dst := op(a, b)` over whole vectors: functionally on
@@ -913,9 +998,11 @@ impl DeviceArray {
         let mut gates = HashMap::new();
         let mut total = RunStats::new();
         let result = self.eval_gate(&expr.expand(), inputs, &mut gates, &mut total);
-        let mut temps: Vec<BatchHandle> = gates.into_values().collect();
-        temps.sort_by_key(|h| h.0);
-        for h in temps {
+        // Release in creation order: handles no longer encode it once
+        // slots are reused, and the allocators' trajectories depend on it.
+        let mut temps: Vec<(usize, BatchHandle)> = gates.into_values().collect();
+        temps.sort_unstable_by_key(|&(created, _)| created);
+        for (_, h) in temps {
             if result.as_ref().ok() != Some(&h) {
                 self.release(h)?;
             }
@@ -923,18 +1010,19 @@ impl DeviceArray {
         Ok((result?, total))
     }
 
-    /// Computes one gate of an expanded expression, memoized in `gates`.
+    /// Computes one gate of an expanded expression, memoized in `gates`
+    /// with its creation index.
     fn eval_gate(
         &mut self,
         e: &Expr,
         inputs: &[BatchHandle],
-        gates: &mut HashMap<Expr, BatchHandle>,
+        gates: &mut HashMap<Expr, (usize, BatchHandle)>,
         total: &mut RunStats,
     ) -> Result<BatchHandle, CoreError> {
         if let Expr::Var(i) = e {
             return Ok(inputs[*i]);
         }
-        if let Some(&h) = gates.get(e) {
+        if let Some(&(_, h)) = gates.get(e) {
             return Ok(h);
         }
         let (h, run) = match e {
@@ -957,7 +1045,7 @@ impl DeviceArray {
             }
         };
         total.merge_sequential(run.stats());
-        gates.insert(e.clone(), h);
+        gates.insert(e.clone(), (gates.len(), h));
         Ok(h)
     }
 
@@ -966,7 +1054,9 @@ impl DeviceArray {
     /// and returns the resulting [`BatchPlan`] **without executing it**.
     /// Rows allocated during preparation are released again, so the array
     /// is left unchanged; hand the plan to
-    /// [`certify`](crate::planlint::certify) for a static verdict.
+    /// [`certify`](crate::planlint::certify) for a static verdict. The
+    /// plan is built on the spot (and is what [`DeviceArray::last_plan`]
+    /// returns until the next operation).
     ///
     /// # Errors
     ///
@@ -979,13 +1069,20 @@ impl DeviceArray {
     ) -> Result<BatchPlan, CoreError> {
         let (entry, _work, _streams) = self.prepare(op, a, b)?;
         self.free_stripes(&entry.stripes)?;
-        Ok(self.last_plan.clone().expect("prepare always records a plan"))
+        Ok(self.last_plan().expect("prepare always records a plan").clone())
     }
 
     /// The plan of the most recently prepared operation (what the debug
     /// self-check certified), if any operation has been prepared.
+    ///
+    /// Operations record only the plan's steps and packed live-in
+    /// snapshots; the [`BatchPlan`] itself is built from them on the first
+    /// call after each operation and cached until the next one. Release
+    /// builds never certify, so an op nobody inspects never builds one.
     pub fn last_plan(&self) -> Option<&BatchPlan> {
-        self.last_plan.as_ref()
+        let record = self.last_plan.as_ref()?;
+        let timing = self.banks.first().and_then(|b| b.engines.first()).map(FaultyEngine::timing);
+        Some(record.plan(&self.config, timing))
     }
 }
 
@@ -1071,6 +1168,74 @@ mod tests {
         let report = crate::planlint::certify(last);
         assert!(report.is_accepted());
         assert!((report.makespan().unwrap().as_f64() - run.stats().makespan.as_f64()).abs() < 1e-9);
+    }
+
+    /// The live-in sets of `plan`'s subarrays rebuilt the eager way: every
+    /// engine-live row, data rows kept only where the allocator owns them.
+    fn eager_live_in(m: &DeviceArray, plan: &BatchPlan) -> BTreeMap<(usize, usize), Vec<PhysRow>> {
+        let keys: std::collections::BTreeSet<_> =
+            plan.steps.iter().map(|s| (s.unit, s.subarray)).collect();
+        keys.into_iter()
+            .map(|(unit, sub)| {
+                let bank = &m.banks[unit];
+                let engine = &bank.engines[sub];
+                let dcc = (0..engine.dcc_rows()).map(PhysRow::Dcc);
+                let data = (0..engine.data_rows()).map(PhysRow::Data);
+                let mut live: Vec<PhysRow> = dcc
+                    .chain(data)
+                    .filter(|&r| match r {
+                        PhysRow::Data(i) => {
+                            engine.is_live(RowRef::Data(i)) && bank.allocs[sub].is_allocated(i)
+                        }
+                        PhysRow::Dcc(i) => engine.is_live(RowRef::DccTrue(i)),
+                    })
+                    .collect();
+                live.sort();
+                ((unit, sub), live)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_plans_equal_the_dry_run_and_the_eager_snapshot() {
+        // 2 channels × 2 banks × 2 subarrays; six-stripe operands use both
+        // subarrays of half the units.
+        let mut m = small_topo(2, 1, 2);
+        let bits = m.row_bits() * 6;
+        let a = m.store(&pattern(bits, 3)).unwrap();
+        let b = m.store(&pattern(bits, 5)).unwrap();
+        // A released vector leaves engine-live rows the allocator no longer
+        // owns, which the live-in must exclude.
+        let gone = m.store(&pattern(bits, 7)).unwrap();
+        m.release(gone).unwrap();
+        for op in [LogicOp::And, LogicOp::Not, LogicOp::Xor] {
+            // Twice, so the second round starts with the DCC rows the
+            // first left live.
+            for round in 0..2 {
+                let dry = m.plan(op, a, (op != LogicOp::Not).then_some(b)).unwrap();
+                let (c, _) = match op {
+                    LogicOp::Not => m.not(a).unwrap(),
+                    _ => m.binary(op, a, b).unwrap(),
+                };
+                let last = m.last_plan().unwrap();
+                assert_eq!(last.steps, dry.steps, "{op} round {round}");
+                assert_eq!(last.live_in, dry.live_in, "{op} round {round}");
+                assert_eq!((&last.timing, last.shape), (&dry.timing, dry.shape));
+                assert_eq!((&last.topology, &last.budget), (&dry.topology, &dry.budget));
+                assert!(crate::planlint::certify(last).is_accepted(), "{op} round {round}");
+                m.release(c).unwrap();
+            }
+            // The dry run's snapshot equals the eager construction.
+            let dry = m.plan(op, a, (op != LogicOp::Not).then_some(b)).unwrap();
+            let lazy: BTreeMap<_, Vec<PhysRow>> =
+                dry.live_in.iter().map(|(k, rows)| (*k, rows.iter().copied().collect())).collect();
+            assert_eq!(lazy, eager_live_in(&m, &dry), "{op}");
+            // AND and NOT leave the DCC row written; XOR's sequence ends by
+            // trimming it dead.
+            let dcc_live = lazy.values().any(|rows| rows.contains(&PhysRow::Dcc(0)));
+            assert_eq!(dcc_live, op != LogicOp::Xor, "{op}");
+            assert!(!lazy.values().flatten().any(|&r| r == PhysRow::Data(2)), "{op}");
+        }
     }
 
     #[test]
@@ -1377,6 +1542,42 @@ mod tests {
     }
 
     #[test]
+    fn stale_handles_stay_dead_after_slot_reuse() {
+        let mut m = small(2);
+        let old = m.store(&BitVec::ones(8)).unwrap();
+        m.release(old).unwrap();
+        let new = m.store(&BitVec::zeros(8)).unwrap();
+        assert_eq!(new.slot, old.slot, "the released slot is reused");
+        assert_eq!(m.load(old), Err(CoreError::InvalidHandle(old.slot)));
+        assert_eq!(m.release(old), Err(CoreError::InvalidHandle(old.slot)));
+        assert!(matches!(m.not(old), Err(CoreError::InvalidHandle(_))));
+        assert_eq!(m.load(new).unwrap(), BitVec::zeros(8));
+    }
+
+    #[test]
+    fn handle_table_stays_within_its_high_water_mark() {
+        let mut m = small(2);
+        let mut live: Vec<BatchHandle> = Vec::new();
+        let mut high_water = 0;
+        for i in 0..10_000usize {
+            // Up to four vectors live at once, released oldest first.
+            live.push(m.store(&pattern(40, 3)).unwrap());
+            high_water = high_water.max(live.len());
+            if live.len() > i % 4 {
+                m.release(live.remove(0)).unwrap();
+            }
+            assert!(m.vectors.len() <= high_water, "cycle {i}: {} slots", m.vectors.len());
+        }
+        // Operations reuse slots too.
+        let (a, b) = (live[0], m.store(&pattern(40, 5)).unwrap());
+        for _ in 0..50 {
+            let (c, _) = m.binary(LogicOp::And, a, b).unwrap();
+            m.release(c).unwrap();
+        }
+        assert!(m.vectors.len() <= high_water.max(live.len() + 2));
+    }
+
+    #[test]
     fn element_reads_match_load() {
         let mut m = small(4);
         let bits = m.row_bits() * 3 + 17;
@@ -1512,8 +1713,7 @@ mod tests {
             *prog = Arc::new(compile(LogicOp::And, CompileMode::LowLatency, rows, 1).unwrap());
         }
         m.run_banks_on(&work, workers)?;
-        m.vectors.push(Some(entry));
-        Ok(BatchHandle(m.vectors.len() - 1))
+        Ok(m.insert(entry))
     }
 
     #[test]

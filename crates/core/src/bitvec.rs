@@ -12,6 +12,18 @@ use std::fmt;
 /// Bits per backing word.
 pub const WORD_BITS: usize = 64;
 
+/// Indices of the set bits of a little-endian packed bitset, ascending.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (bit < WORD_BITS).then_some(w * WORD_BITS + bit)
+        })
+    })
+}
+
 /// Copies `len` bits from `src` starting at bit `src_start` into `dst`
 /// starting at bit `dst_start`, treating both slices as little-endian bit
 /// arrays. Word-aligned runs degrade to `copy_from_slice`; unaligned runs

@@ -175,6 +175,19 @@ fn self_check(
     }
 }
 
+/// Compiled program names, `"{op}-{mode}"` in lower case, indexed by
+/// `[op as usize][mode as usize]` (declaration order of [`LogicOp`] and
+/// [`CompileMode`]).
+const PROGRAM_NAMES: [[&str; 3]; 7] = [
+    ["not-inplace", "not-highthroughput", "not-lowlatency"],
+    ["and-inplace", "and-highthroughput", "and-lowlatency"],
+    ["or-inplace", "or-highthroughput", "or-lowlatency"],
+    ["nand-inplace", "nand-highthroughput", "nand-lowlatency"],
+    ["nor-inplace", "nor-highthroughput", "nor-lowlatency"],
+    ["xor-inplace", "xor-highthroughput", "xor-lowlatency"],
+    ["xnor-inplace", "xnor-highthroughput", "xnor-lowlatency"],
+];
+
 /// Compiles `op` over `rows` under `mode` with `reserved_rows` dual-contact
 /// rows available.
 ///
@@ -202,7 +215,7 @@ pub fn compile(
     let a = RowRef::Data(rows.a);
     let b = RowRef::Data(rows.b);
     let dst = RowRef::Data(rows.dst);
-    let name = format!("{}-{:?}", op.name(), mode).to_lowercase();
+    let name = PROGRAM_NAMES[op as usize][mode as usize];
 
     let prog = match mode {
         CompileMode::InPlace => match op {
@@ -504,6 +517,17 @@ mod tests {
     use super::*;
     use crate::bitvec::BitVec;
     use crate::engine::SubarrayEngine;
+
+    #[test]
+    fn program_names_are_lowercase_op_dash_mode() {
+        for op in LogicOp::ALL {
+            for mode in [CompileMode::InPlace, CompileMode::HighThroughput, CompileMode::LowLatency]
+            {
+                let want = format!("{}-{:?}", op.name(), mode).to_lowercase();
+                assert_eq!(PROGRAM_NAMES[op as usize][mode as usize], want);
+            }
+        }
+    }
 
     /// Runs `prog` on a fresh engine holding every 2-bit operand combination
     /// column-wise and checks the destination against software logic.

@@ -25,7 +25,7 @@
 //! (latency, energy, wordline events) via its command profile.
 
 use crate::analysis::AnalysisCache;
-use crate::bitvec::{copy_bits, BitVec, WORD_BITS};
+use crate::bitvec::{copy_bits, set_bits, BitVec, WORD_BITS};
 use crate::error::CoreError;
 use crate::optimizer::PhysRow;
 use crate::primitive::{Primitive, RegulateMode, RowRef};
@@ -254,8 +254,8 @@ impl SubarrayEngine {
 
     /// Snapshot of every physical row currently holding data, in analyzer
     /// addressing (data rows first, then reserved rows). This is the
-    /// live-in set the static analyzers assume, so the plan-level verifier
-    /// seeds its borrow checker from it.
+    /// live-in set the static analyzers assume; the batch layer records
+    /// it, packed, for the plan-level verifier.
     pub fn live_rows(&self) -> Vec<PhysRow> {
         let mut out = Vec::new();
         for i in 0..self.data_rows {
@@ -269,6 +269,23 @@ impl SubarrayEngine {
             }
         }
         out
+    }
+
+    /// [`SubarrayEngine::live_rows`] restricted to the data rows set in
+    /// the packed bitset `owned` (reserved rows unfiltered), appended to
+    /// `out` as a packed bitset of `(data_rows + dcc_rows).div_ceil(64)`
+    /// words in the same analyzer order: bit `i` is data row `i`, bit
+    /// `data_rows + j` reserved row `j`. Costs one step per owned row, not
+    /// per row.
+    pub(crate) fn pack_live_rows(&self, owned: &[u64], out: &mut Vec<u64>) {
+        let base = out.len();
+        out.resize(base + (self.data_rows + self.dcc_rows).div_ceil(WORD_BITS), 0);
+        let packed = &mut out[base..];
+        let data = set_bits(owned).filter(|&i| i < self.data_rows && self.live[self.dcc_rows + i]);
+        let dcc = (0..self.dcc_rows).filter(|&j| self.live[j]).map(|j| self.data_rows + j);
+        for bit in data.chain(dcc) {
+            packed[bit / WORD_BITS] |= 1 << (bit % WORD_BITS);
+        }
     }
 
     /// Writes a data row directly (host-side store, outside PIM timing).
@@ -687,6 +704,23 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(e.row(RowRef::Data(1)).unwrap(), bv(&[1, 0, 0, 0]));
+    }
+
+    #[test]
+    fn packed_live_rows_keep_owned_data_and_live_dcc_rows() {
+        // 70 data + 2 reserved rows: the packed set spans two words.
+        let mut e = SubarrayEngine::new(4, 70, 2);
+        for row in [0, 5, 65, 69] {
+            e.write_row(row, bv(&[1, 0, 1, 0])).unwrap();
+        }
+        e.execute(&Primitive::Aap { src: RowRef::Data(0), dst: RowRef::DccTrue(1) }).unwrap();
+        // Owned: rows 0, 3 (never written), 65 and 69 — not 5.
+        let owned = [1 | 1 << 3, 1 << 1 | 1 << 5];
+        let mut out = vec![u64::MAX]; // appends after what is already there
+        e.pack_live_rows(&owned, &mut out);
+        assert_eq!(out, vec![u64::MAX, 1, 1 << 1 | 1 << 5 | 1 << 7]);
+        let rows: Vec<usize> = set_bits(&out[1..]).collect();
+        assert_eq!(rows, vec![0, 65, 69, 71]); // 71 = data_rows + DCC row 1
     }
 
     #[test]

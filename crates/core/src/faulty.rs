@@ -371,9 +371,9 @@ impl FaultyEngine {
         self.inner.is_live(row)
     }
 
-    /// See [`SubarrayEngine::live_rows`].
-    pub fn live_rows(&self) -> Vec<crate::optimizer::PhysRow> {
-        self.inner.live_rows()
+    /// See [`SubarrayEngine::pack_live_rows`].
+    pub(crate) fn pack_live_rows(&self, owned: &[u64], out: &mut Vec<u64>) {
+        self.inner.pack_live_rows(owned, out);
     }
 
     /// See [`SubarrayEngine::inject_bit_error`] (manual injection, not

@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 /// One step of a batch plan: a program bound to a subarray, issuing its
 /// commands on a per-bank stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
     /// Flat bank-unit index the program executes on.
     pub unit: usize,

@@ -22,13 +22,18 @@ use crate::error::CoreError;
 pub struct RowAllocator {
     total: usize,
     free: Vec<usize>,
-    allocated: Vec<bool>,
+    /// Packed bitset: bit `i` set iff row `i` is allocated.
+    allocated: Vec<u64>,
 }
 
 impl RowAllocator {
     /// An allocator over `rows` data rows, all initially free.
     pub fn new(rows: usize) -> Self {
-        RowAllocator { total: rows, free: (0..rows).rev().collect(), allocated: vec![false; rows] }
+        RowAllocator {
+            total: rows,
+            free: (0..rows).rev().collect(),
+            allocated: vec![0; rows.div_ceil(64)],
+        }
     }
 
     /// Total data rows managed.
@@ -43,7 +48,13 @@ impl RowAllocator {
 
     /// Whether `row` is currently allocated.
     pub fn is_allocated(&self, row: usize) -> bool {
-        self.allocated.get(row).copied().unwrap_or(false)
+        self.allocated.get(row / 64).is_some_and(|w| w >> (row % 64) & 1 == 1)
+    }
+
+    /// The allocated rows as a packed bitset (bit `i` of word `i / 64` is
+    /// row `i`).
+    pub(crate) fn allocated_words(&self) -> &[u64] {
+        &self.allocated
     }
 
     /// Allocates a free row.
@@ -53,7 +64,7 @@ impl RowAllocator {
     /// [`CoreError::CapacityExceeded`] when every row is in use.
     pub fn alloc(&mut self) -> Result<usize, CoreError> {
         let row = self.free.pop().ok_or(CoreError::CapacityExceeded { rows: self.total })?;
-        self.allocated[row] = true;
+        self.allocated[row / 64] |= 1 << (row % 64);
         Ok(row)
     }
 
@@ -66,7 +77,7 @@ impl RowAllocator {
         if !self.is_allocated(row) {
             return Err(CoreError::InvalidHandle(row));
         }
-        self.allocated[row] = false;
+        self.allocated[row / 64] &= !(1 << (row % 64));
         self.free.push(row);
         Ok(())
     }

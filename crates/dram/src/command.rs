@@ -40,6 +40,21 @@ pub enum CommandClass {
 }
 
 impl CommandClass {
+    /// Every class, in declaration order: `ALL[class as usize] == class`.
+    pub(crate) const ALL: [CommandClass; 11] = [
+        CommandClass::Ap,
+        CommandClass::Aap,
+        CommandClass::OAap,
+        CommandClass::App,
+        CommandClass::OApp,
+        CommandClass::TApp,
+        CommandClass::OtApp,
+        CommandClass::TraAap,
+        CommandClass::DrisaStep,
+        CommandClass::Precharge,
+        CommandClass::DataBurst,
+    ];
+
     /// The display mnemonic as a static string (no allocation), used by
     /// per-command statistics counters.
     pub fn name(self) -> &'static str {
@@ -215,6 +230,13 @@ impl fmt::Display for CommandProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_classes_index_by_discriminant() {
+        for (i, class) in CommandClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class}");
+        }
+    }
 
     #[test]
     fn profiles_match_table1_durations() {

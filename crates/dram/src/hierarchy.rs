@@ -39,7 +39,7 @@ use crate::error::DramError;
 use crate::geometry::{TopoPath, Topology};
 use crate::interleave::{Schedule, ScheduledCommand};
 use crate::power::PowerModel;
-use crate::stats::RunStats;
+use crate::stats::{ClassCounts, RunStats};
 use crate::telemetry::{CommandEvent, NullSink, StallReason, TraceSink};
 use crate::units::{Ns, Ps};
 use std::cmp::Reverse;
@@ -179,6 +179,10 @@ impl HierarchicalScheduler {
         let mut pumps: Vec<PumpWindow> =
             (0..ranks.len()).map(|_| PumpWindow::new(budget.clone())).collect();
         let mut rank_stats: Vec<RunStats> = (0..ranks.len()).map(|_| RunStats::new()).collect();
+        // Class counters fold into the stats' string-keyed maps once, after
+        // the loop; time and energy still accrue per command, in order.
+        let mut counts = ClassCounts::default();
+        let mut rank_counts = vec![ClassCounts::default(); ranks.len()];
         let mut last_issue: Vec<Ps> = vec![Ps::ZERO; channels];
 
         let mut bank_free: Vec<Ps> = vec![Ps::ZERO; entries.len()];
@@ -217,8 +221,10 @@ impl HierarchicalScheduler {
             bank_free[i] = done;
 
             let energy = power.command_energy(profile);
+            counts.bump(profile.class);
+            rank_counts[rank].bump(profile.class);
             for s in [&mut stats, &mut rank_stats[rank]] {
-                s.record(profile.class, profile.duration, profile.total_wordline_events, energy);
+                s.accrue(profile.duration, profile.total_wordline_events, energy);
                 s.pump_stall += pump_wait.to_ns();
                 s.makespan = Ns(s.makespan.as_f64().max(done.to_ns().as_f64()));
             }
@@ -268,8 +274,10 @@ impl HierarchicalScheduler {
         // each rank over its own (so per-rank entries are themselves valid
         // schedules whose parallel merge reproduces the whole — the law
         // checked in `tests/stats_properties.rs`).
+        counts.add_to(&mut stats);
         stats.background_energy = power.background_energy(stats.makespan, 1.0);
-        for s in rank_stats.iter_mut() {
+        for (s, c) in rank_stats.iter_mut().zip(&rank_counts) {
+            c.add_to(s);
             s.background_energy = power.background_energy(s.makespan, 1.0);
         }
 

@@ -34,17 +34,31 @@ impl RunStats {
 
     /// Records one command. Allocation-free in steady state: the class
     /// name is a `&'static str` lookup, and the counter key is only
-    /// materialized the first time a class appears.
+    /// materialized the first time a class appears. The scheduler's loop
+    /// counts classes in a fixed array instead and accrues the rest per
+    /// command.
     pub fn record(&mut self, class: CommandClass, duration: Ns, wordlines: u8, energy: Picojoules) {
-        match self.commands.get_mut(class.name()) {
-            Some(count) => *count += 1,
-            None => {
-                self.commands.insert(class.name().to_string(), 1);
-            }
-        }
+        self.count(class.name(), 1);
+        self.accrue(duration, wordlines, energy);
+    }
+
+    /// Adds one command's wordlines, busy time and energy without
+    /// counting it: [`RunStats::record`] minus the class counter.
+    pub(crate) fn accrue(&mut self, duration: Ns, wordlines: u8, energy: Picojoules) {
         self.wordline_activations += u64::from(wordlines);
         self.busy_time += duration;
         self.energy += energy;
+    }
+
+    /// Adds `n` commands of class `name`, cloning the key only when the
+    /// class is new to this record.
+    fn count(&mut self, name: &str, n: u64) {
+        match self.commands.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                self.commands.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Total number of commands of every class.
@@ -54,7 +68,7 @@ impl RunStats {
 
     fn merge_counts(&mut self, other: &RunStats) {
         for (k, v) in &other.commands {
-            *self.commands.entry(k.clone()).or_insert(0) += v;
+            self.count(k, *v);
         }
         self.wordline_activations += other.wordline_activations;
         self.busy_time += other.busy_time;
@@ -114,6 +128,30 @@ impl RunStats {
     }
 }
 
+/// Per-class command counters in a fixed array, for loops that record
+/// many commands: [`ClassCounts::bump`] each command (with
+/// [`RunStats::accrue`] for its time and energy), then
+/// [`ClassCounts::add_to`] once, instead of a string-keyed map lookup per
+/// command.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ClassCounts([u64; CommandClass::ALL.len()]);
+
+impl ClassCounts {
+    /// Counts one command of `class`.
+    pub(crate) fn bump(&mut self, class: CommandClass) {
+        self.0[class as usize] += 1;
+    }
+
+    /// Adds every nonzero counter to `stats.commands`.
+    pub(crate) fn add_to(&self, stats: &mut RunStats) {
+        for (class, &n) in CommandClass::ALL.iter().zip(&self.0) {
+            if n > 0 {
+                stats.count(class.name(), n);
+            }
+        }
+    }
+}
+
 impl fmt::Display for RunStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -152,6 +190,27 @@ mod tests {
         assert_eq!(s.commands["AP"], 2);
         assert!((s.busy_time.as_f64() - 151.0).abs() < 1e-9);
         assert!((s.energy.as_f64() - 600.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn class_counts_match_per_command_records() {
+        let cmds = [
+            (CommandClass::OAap, 1),
+            (CommandClass::OApp, 2),
+            (CommandClass::OAap, 1),
+            (CommandClass::DataBurst, 0),
+        ];
+        let (mut per_command, mut counted) = (RunStats::new(), RunStats::new());
+        let mut counts = ClassCounts::default();
+        for (class, wordlines) in cmds {
+            per_command.record(class, Ns(49.5), wordlines, Picojoules(0.1));
+            counts.bump(class);
+            counted.accrue(Ns(49.5), wordlines, Picojoules(0.1));
+        }
+        counts.add_to(&mut counted);
+        assert_eq!(counted, per_command);
+        assert_eq!(counted.commands["oAAP"], 2);
+        assert!(!counted.commands.contains_key("AP"), "zero counters add no key");
     }
 
     #[test]

@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo test --release -p elp2im-core (the op path that never builds its BatchPlan)"
+cargo test -q --release -p elp2im-core
+
 echo "==> every bench target builds"
 cargo bench --workspace --no-run -q
 
