@@ -86,13 +86,21 @@ pub fn popcount_slices(n: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Propagates device errors (capacity, handle misuse).
+/// [`CoreError::WidthMismatch`] when `a` and `b` have different widths
+/// (`expected` is `a`'s), [`CoreError::EmptyOperands`] when they have
+/// none; both are reported before any plane is taken. Propagates device
+/// errors (capacity, handle misuse).
 pub fn bit_serial_add(
     dev: &mut DeviceArray,
     a: &[BatchHandle],
     b: &[BatchHandle],
 ) -> Result<Vec<BatchHandle>, CoreError> {
-    assert_eq!(a.len(), b.len(), "operand widths must match");
+    if a.len() != b.len() {
+        return Err(CoreError::WidthMismatch { expected: a.len(), got: b.len() });
+    }
+    if a.is_empty() {
+        return Err(CoreError::EmptyOperands);
+    }
     let mut result = Vec::with_capacity(a.len() + 1);
     let mut carry: Option<BatchHandle> = None;
     for (&pa, &pb) in a.iter().zip(b) {
@@ -117,7 +125,7 @@ pub fn bit_serial_add(
         result.push(sum);
         carry = Some(new_carry);
     }
-    result.push(carry.expect("non-empty operands"));
+    result.extend(carry);
     Ok(result)
 }
 
@@ -127,12 +135,14 @@ pub fn bit_serial_add(
 ///
 /// # Errors
 ///
-/// Propagates device errors.
+/// [`CoreError::EmptyOperands`] for no planes. Propagates device errors.
 pub fn bit_serial_popcount(
     dev: &mut DeviceArray,
     planes: &[BatchHandle],
 ) -> Result<Vec<BatchHandle>, CoreError> {
-    assert!(!planes.is_empty(), "popcount needs at least one plane");
+    if planes.is_empty() {
+        return Err(CoreError::EmptyOperands);
+    }
     // Pairwise reduction: counts grow one bit per level.
     let mut numbers: Vec<Vec<BatchHandle>> = planes.iter().map(|&p| vec![p]).collect();
     while numbers.len() > 1 {
@@ -169,7 +179,7 @@ pub fn bit_serial_popcount(
 ///
 /// # Errors
 ///
-/// Propagates device errors.
+/// As [`bit_serial_add`].
 pub fn bit_serial_add_mod(
     dev: &mut DeviceArray,
     a: &[BatchHandle],
@@ -186,12 +196,13 @@ pub fn bit_serial_add_mod(
 ///
 /// # Errors
 ///
-/// Propagates device errors.
+/// [`CoreError::EmptyOperands`] for a number with no planes. Propagates
+/// device errors.
 pub fn bit_serial_negate(
     dev: &mut DeviceArray,
     x: &[BatchHandle],
 ) -> Result<Vec<BatchHandle>, CoreError> {
-    let lanes = dev.length(x[0])?;
+    let lanes = dev.length(*x.first().ok_or(CoreError::EmptyOperands)?)?;
     let inverted: Vec<BatchHandle> =
         x.iter().map(|&p| dev.not(p).map(|(h, _)| h)).collect::<Result<_, _>>()?;
     // The constant 1: a ones plane at bit 0, zeros elsewhere.
@@ -214,25 +225,37 @@ pub fn bit_serial_negate(
 ///
 /// # Errors
 ///
+/// Reported before any plane is taken:
+/// * [`CoreError::WidthMismatch`] when `activations` and `weights` differ
+///   in length (`expected` is the activation count), or an activation's
+///   width differs from the first's;
+/// * [`CoreError::EmptyOperands`] for no terms or zero-width activations;
+/// * [`CoreError::WeightOutOfRange`] for a weight outside `{-1, 0, 1}`.
+///
 /// Propagates device errors.
-///
-/// # Panics
-///
-/// Panics if `activations` and `weights` lengths differ, or any weight is
-/// outside `{-1, 0, 1}`.
 pub fn twn_dot_product(
     dev: &mut DeviceArray,
     activations: &[Vec<BatchHandle>],
     weights: &[i8],
 ) -> Result<Vec<BatchHandle>, CoreError> {
-    assert_eq!(activations.len(), weights.len(), "one weight per activation");
-    assert!(!activations.is_empty(), "need at least one term");
-    let width = activations[0].len();
+    if activations.len() != weights.len() {
+        return Err(CoreError::WidthMismatch { expected: activations.len(), got: weights.len() });
+    }
+    let width = activations.first().map_or(0, Vec::len);
+    if width == 0 {
+        return Err(CoreError::EmptyOperands);
+    }
+    if let Some(x) = activations.iter().find(|x| x.len() != width) {
+        return Err(CoreError::WidthMismatch { expected: width, got: x.len() });
+    }
+    if let Some((index, &weight)) = weights.iter().enumerate().find(|(_, w)| !(-1..=1).contains(*w))
+    {
+        return Err(CoreError::WeightOutOfRange { index, weight });
+    }
     let lanes = dev.length(activations[0][0])?;
     let mut acc: Vec<BatchHandle> =
         (0..width).map(|_| dev.store(&BitVec::zeros(lanes))).collect::<Result<_, _>>()?;
     for (x, &w) in activations.iter().zip(weights) {
-        assert!((-1..=1).contains(&w), "ternary weights only, got {w}");
         if w == 0 {
             continue;
         }
@@ -375,6 +398,62 @@ mod tests {
                 .map(|(i, &h)| u64::from(dev.load(h).unwrap().get(lane)) << i)
                 .sum();
             assert_eq!(got, (expect as u64) & mask, "lane {lane}: {expect}");
+        }
+    }
+
+    /// The row the next stored plane lands on: unchanged across a call
+    /// that took (or leaked) no plane.
+    fn next_row(dev: &mut DeviceArray) -> usize {
+        let probe = dev.store(&BitVec::zeros(8)).unwrap();
+        let row = dev.placement(probe).unwrap()[0].row;
+        dev.release(probe).unwrap();
+        row
+    }
+
+    #[test]
+    fn add_rejects_unequal_widths() {
+        let mut dev = device(1, 64);
+        let a = store_planes(&mut dev, &[1, 2], 3);
+        let b = store_planes(&mut dev, &[1, 2], 2);
+        let before = next_row(&mut dev);
+        assert_eq!(
+            bit_serial_add(&mut dev, &a, &b),
+            Err(CoreError::WidthMismatch { expected: 3, got: 2 })
+        );
+        assert_eq!(next_row(&mut dev), before);
+    }
+
+    #[test]
+    fn add_rejects_empty_operands() {
+        let mut dev = device(1, 64);
+        assert_eq!(bit_serial_add(&mut dev, &[], &[]), Err(CoreError::EmptyOperands));
+        assert_eq!(bit_serial_add_mod(&mut dev, &[], &[]), Err(CoreError::EmptyOperands));
+        assert_eq!(bit_serial_negate(&mut dev, &[]), Err(CoreError::EmptyOperands));
+    }
+
+    #[test]
+    fn popcount_rejects_no_planes() {
+        let mut dev = device(1, 64);
+        assert_eq!(bit_serial_popcount(&mut dev, &[]), Err(CoreError::EmptyOperands));
+    }
+
+    #[test]
+    fn twn_dot_product_rejects_malformed_inputs() {
+        let mut dev = device(1, 64);
+        let x = store_planes(&mut dev, &[1, 2], 3);
+        let narrow = store_planes(&mut dev, &[1, 2], 2);
+        let before = next_row(&mut dev);
+        let cases = [
+            (vec![x.clone()], vec![1, 1], CoreError::WidthMismatch { expected: 1, got: 2 }),
+            (vec![], vec![], CoreError::EmptyOperands),
+            (vec![vec![]], vec![1], CoreError::EmptyOperands),
+            (vec![x.clone(), narrow], vec![1, 1], CoreError::WidthMismatch { expected: 3, got: 2 }),
+            (vec![x.clone(), x], vec![1, 2], CoreError::WeightOutOfRange { index: 1, weight: 2 }),
+        ];
+        for (activations, weights, err) in cases {
+            assert_eq!(twn_dot_product(&mut dev, &activations, &weights), Err(err));
+            // Rejected before any accumulator plane was taken.
+            assert_eq!(next_row(&mut dev), before);
         }
     }
 

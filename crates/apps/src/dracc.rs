@@ -1,7 +1,7 @@
 //! The DrAcc case study: ternary-weight CNN inference on in-DRAM adders
 //! (Table 2 of the paper).
 //!
-//! DrAcc [19] builds word-wise addition inside the subarray from basic
+//! DrAcc \[19\] builds word-wise addition inside the subarray from basic
 //! bitwise steps; ternary weights turn dot products into additions. The
 //! paper re-implements DrAcc's adder on each of the three designs
 //! ("we exploit the three designs to realize the adder in Dracc

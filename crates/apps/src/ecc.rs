@@ -89,7 +89,7 @@ impl ParityGuard {
     /// Refreshes the stored parity (after legitimate updates to guarded
     /// rows). Returns the number of bulk XOR operations actually executed
     /// on the device — the §6.1.2 incompatibility cost: `n−1` for `n ≥ 2`
-    /// guarded rows, `2` for a single row (see [`Self::xor_chain`]).
+    /// guarded rows, `2` for a single row (see `xor_chain`).
     ///
     /// # Errors
     ///

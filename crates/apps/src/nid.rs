@@ -1,6 +1,6 @@
 //! The NID case study: binary CNN inference in commodity DRAM (Table 3).
 //!
-//! NID [53] realizes binary convolutions as bulk **XOR** followed by a
+//! NID \[53\] realizes binary convolutions as bulk **XOR** followed by a
 //! **count** decomposed into AND/XOR operations, all on the Ambit-style
 //! substrate; the paper re-implements both on ELP2IM (using the two-buffer
 //! XOR, Fig. 8 sequence 6) and DRISA-NOR, without a power constraint.

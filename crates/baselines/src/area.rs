@@ -9,7 +9,7 @@
 //!   16 row-equivalents, plus the 2-row C-group: 18 total.
 //! * **ELP2IM** — one dual-contact row (2 physical rows) on each side of
 //!   the open-bitline pair, the per-bitline isolation transistor
-//!   (~0.8 % of the array, [31]), and the split-EQ metal rework: ~14
+//!   (~0.8 % of the array, \[31\]), and the split-EQ metal rework: ~14
 //!   row-equivalents, i.e. **22 % less than Ambit** (§5.2).
 //! * **DRISA-NOR** — no reserved rows, but +24 % die area for gates and
 //!   latches (≈123 row-equivalents per 512-row pair).

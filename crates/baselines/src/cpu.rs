@@ -1,4 +1,4 @@
-//! A Kaby-Lake-class CPU reference model (§6.3's baseline [49]).
+//! A Kaby-Lake-class CPU reference model (§6.3's baseline \[49\]).
 //!
 //! Bulk bitwise scans and population counts over memory-resident data are
 //! bandwidth-bound on a real CPU: the cores' SIMD throughput far exceeds

@@ -2,12 +2,14 @@
 //!
 //! Re-measures the workspace's headline host-simulation workloads with
 //! `std::time::Instant` (criterion is a dev-dependency and not available
-//! to binaries) and emits an `elp2im-report-v1` document comparing them
-//! against the baseline numbers recorded on the pre-optimization tree
-//! (commit 6f1eb19, the v0 growth seed). The committed `BENCH_006.json`
-//! at the repository root is the durable record of the word-packed
-//! hot-path optimization; CI re-emits a smoke variant and validates both
-//! against the schema so the document cannot drift.
+//! to binaries) and emits an `elp2im-report-v1` document. Every ratio in
+//! it divides two rows measured in the same run on the same host — each
+//! row names its reference row, and its ratio is its time per element
+//! over the reference's — so the document compares workloads, not
+//! machines. The committed `BENCH_006.json` at the repository root is the
+//! durable record of the word-packed hot path; CI re-emits a smoke
+//! variant and validates both against the schema so the document cannot
+//! drift.
 //!
 //! The binary also emits `BENCH_007.json`, the fault-injection soak of
 //! [`elp2im_bench::soak`]: three protection policies over the same faulty
@@ -51,9 +53,6 @@ use elp2im_dram::geometry::{Geometry, Topology};
 use elp2im_dram::json::Json;
 use elp2im_dram::stats::RunStats;
 use std::time::{Duration, Instant};
-
-/// Git commit of the tree the baseline column was measured on.
-const BASELINE_COMMIT: &str = "6f1eb19";
 
 /// Median-of-samples timing, mirroring the vendored criterion harness:
 /// warm up once, pick an iteration count targeting ~20 ms of measurement,
@@ -112,20 +111,28 @@ fn batch_bulk_and(banks: usize, a: &BitVec, b: &BitVec) {
 struct Row {
     name: &'static str,
     elements: Option<u64>,
-    baseline_us: f64,
     measured: Duration,
+    /// The same-run row this one is compared against, if any.
+    reference: Option<&'static str>,
 }
+
+/// Row of the wide bulk AND that `planlint/certify_bulk_and/rank_rows`
+/// certifies; `--check` bounds certify's share of it.
+const RANK_ROWS_OP: &str = "batch_bulk_and/rank_rows";
+const CERTIFY_ROW: &str = "planlint/certify_bulk_and/rank_rows";
+/// The word-parallel AND every word-level row is normalized against.
+const BITVEC_AND: &str = "bitvec/and_1mbit";
 
 fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
     let mut rows = Vec::new();
 
-    // Headline: the striped bulk AND over 65536 bits, per bank count.
-    // Baselines from `cargo bench -p elp2im-bench --bench batch` on the
-    // seed tree.
+    // Headline: the striped bulk AND over 65536 bits, per bank count,
+    // each against the one-bank op (more banks must not cost more host
+    // time).
     let bits = array_with_banks(1).row_bits() * 8;
     let a: BitVec = (0..bits).map(|i| i % 3 == 0).collect();
     let b: BitVec = (0..bits).map(|i| i % 7 == 0).collect();
-    for (banks, baseline_us) in [(1usize, 466.636), (2, 459.167), (4, 463.121), (8, 622.629)] {
+    for banks in [1usize, 2, 4, 8] {
         let name: &'static str = match banks {
             1 => "batch_bulk_and/banks/1",
             2 => "batch_bulk_and/banks/2",
@@ -133,7 +140,8 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
             _ => "batch_bulk_and/banks/8",
         };
         let measured = measure(smoke, || batch_bulk_and(banks, &a, &b));
-        rows.push(Row { name, elements: Some(bits as u64), baseline_us, measured });
+        let reference = (banks > 1).then_some("batch_bulk_and/banks/1");
+        rows.push(Row { name, elements: Some(bits as u64), measured, reference });
     }
     // Modeled-DRAM stats of the 8-bank op, attached as the report's raw
     // measurement block (host timing above; device timing here).
@@ -148,9 +156,8 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
     // moves row data), so the right denominator is an op over rank-level
     // rows — 64 KB, eight x8 chips opening an 8 KB row in lockstep — not
     // the deliberately small bench geometry above. All 64 subarrays get
-    // one stripe. The baseline cell holds the measured op time, so the
-    // speedup column reads as op/certify — the inverse of the analyzer's
-    // overhead (`--check` enforces overhead < 5%).
+    // one stripe. The certify row's reference is the op it certifies, so
+    // its ratio is the analyzer's overhead (`--check` enforces < 5%).
     let wide = Geometry { row_bytes: 65536, ..bench_geometry(8) };
     let mut array = DeviceArray::new(BatchConfig {
         topology: Topology::module(wide),
@@ -172,14 +179,21 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
         std::hint::black_box(elp2im_core::planlint::certify(&plan).is_accepted());
     });
     rows.push(Row {
-        name: "planlint/certify_bulk_and/rank_rows",
+        name: RANK_ROWS_OP,
         elements: Some(wide_bits as u64),
-        baseline_us: op.as_nanos() as f64 / 1e3,
+        measured: op,
+        reference: Some("batch_bulk_and/banks/8"),
+    });
+    rows.push(Row {
+        name: CERTIFY_ROW,
+        elements: Some(wide_bits as u64),
         measured,
+        reference: Some(RANK_ROWS_OP),
     });
 
-    // Engine microbenchmarks (from `benches/engine.rs`).
-    for (width, and_us, xor_us) in [(1024usize, 0.472, 1.060), (8192, 0.563, 1.373)] {
+    // Engine microbenchmarks (from `benches/engine.rs`), per bit against
+    // the plain word-parallel AND of `bitvec/and_1mbit`.
+    for width in [1024usize, 8192] {
         let (and_name, xor_name): (&'static str, &'static str) = if width == 1024 {
             ("engine_bulk_ops/and_low_latency/1024", "engine_bulk_ops/xor_seq6/1024")
         } else {
@@ -194,8 +208,8 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
         rows.push(Row {
             name: and_name,
             elements: Some(width as u64),
-            baseline_us: and_us,
             measured,
+            reference: Some(BITVEC_AND),
         });
 
         let mut e = SubarrayEngine::new(width, 8, 2);
@@ -207,31 +221,27 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
         rows.push(Row {
             name: xor_name,
             elements: Some(width as u64),
-            baseline_us: xor_us,
             measured,
+            reference: Some(and_name),
         });
     }
 
-    // BitVec kernels (from `benches/engine.rs`).
+    // BitVec kernels (from `benches/engine.rs`); `bitvec/and_1mbit` is
+    // the same-run reference for the word-level rows.
     let ones = BitVec::ones(1 << 20);
     let zeros = BitVec::zeros(1 << 20);
     let measured = measure(smoke, || {
         std::hint::black_box(ones.and(&zeros));
     });
-    rows.push(Row {
-        name: "bitvec/and_1mbit",
-        elements: Some(1 << 20),
-        baseline_us: 3.658,
-        measured,
-    });
+    rows.push(Row { name: BITVEC_AND, elements: Some(1 << 20), measured, reference: None });
     let measured = measure(smoke, || {
         std::hint::black_box(ones.count_ones());
     });
     rows.push(Row {
         name: "bitvec/popcount_1mbit",
         elements: Some(1 << 20),
-        baseline_us: 12.658,
         measured,
+        reference: Some(BITVEC_AND),
     });
 
     // Application studies (from `benches/apps.rs`) — regression guards:
@@ -249,8 +259,8 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
     rows.push(Row {
         name: "apps/bitmap_study_full_sweep",
         elements: None,
-        baseline_us: 1.874,
         measured,
+        reference: None,
     });
     let study = TableScanStudy::paper_setup();
     let e = PimBackend::elp2im_high_throughput();
@@ -262,8 +272,8 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
     rows.push(Row {
         name: "apps/tablescan_study_all_widths",
         elements: None,
-        baseline_us: 25.918,
         measured,
+        reference: None,
     });
 
     (rows, device_stats)
@@ -272,34 +282,38 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
 fn build_table(smoke: bool) -> Table {
     let (rows, device_stats) = measured_rows(smoke);
     let mut t = Table::new(
-        "BENCH_006: word-packed hot-path throughput trajectory",
-        &["workload", "elems/iter", "baseline µs/iter", "measured µs/iter", "speedup", "Melem/s"],
+        "BENCH_006: word-packed hot-path throughput",
+        &["workload", "elems/iter", "measured µs/iter", "reference", "vs reference", "Melem/s"],
     );
+    let per_elem = |r: &Row| r.measured.as_secs_f64() / r.elements.unwrap_or(1) as f64;
     for r in &rows {
         let us = r.measured.as_nanos() as f64 / 1e3;
         let melems = match r.elements {
             Some(n) => format!("{:.1}", n as f64 / r.measured.as_secs_f64() / 1e6),
             None => "-".into(),
         };
+        let reference = r
+            .reference
+            .map(|name| rows.iter().find(|x| x.name == name).expect("reference rows are measured"));
         t.push(vec![
             r.name.to_string(),
             r.elements.map_or_else(|| "-".into(), |n| n.to_string()),
-            format!("{:.3}", r.baseline_us),
             format!("{us:.3}"),
-            format!("{:.2}x", r.baseline_us / us),
+            r.reference.unwrap_or("-").to_string(),
+            reference.map_or_else(|| "-".into(), |x| format!("{:.4}x", per_elem(r) / per_elem(x))),
             melems,
         ]);
     }
     t.attach_stats(&device_stats);
-    t.note(format!(
-        "baseline column: criterion medians on the seed tree (commit {BASELINE_COMMIT})"
-    ));
     t.note("measured column: median of 5 samples, ~20 ms per sample, std::time::Instant");
+    t.note(
+        "vs reference: this row's time per element over the reference row's, both measured \
+         in this run on this host (below 1x = cheaper per element)",
+    );
     t.note("stats block: modeled DRAM schedule of the 8-bank bulk AND (not host time)");
     t.note(
-        "planlint row: a 64-stripe bulk AND over rank-level 64 KB rows; the baseline \
-         column is the measured op itself, so its speedup cell is op/certify and \
-         --check requires certify < 5% of the op",
+        "planlint row: certify of a 64-stripe bulk AND over rank-level 64 KB rows, against \
+         that op (batch_bulk_and/rank_rows); --check requires certify < 5% of the op",
     );
     if smoke {
         t.note("SMOKE RUN: single short sample per workload; timings are not meaningful");
@@ -387,32 +401,40 @@ fn check(path: &str) -> Result<(), String> {
 }
 
 fn check_bench_006(doc: &Json) -> Result<(), String> {
-    let rows = doc.get("rows").and_then(Json::as_array).expect("validated");
-    let has_headline = rows.iter().any(|r| {
-        r.as_array().and_then(|cells| cells.first()).and_then(Json::as_str)
-            == Some("batch_bulk_and/banks/8")
-    });
-    if !has_headline {
-        return Err("missing the batch_bulk_and/banks/8 headline row".into());
-    }
-    // Analyzer-overhead invariant: the static plan verifier must cost
-    // less than 5% of the batch op it certifies. The planlint row's
-    // baseline cell holds the measured op time (see the table note), so
-    // overhead = measured / baseline. Smoke runs keep the row but skip
-    // the threshold — their single-sample timings are not meaningful.
-    let lint = rows
+    let rows: Vec<&[Json]> = doc
+        .get("rows")
+        .and_then(Json::as_array)
+        .expect("validated")
         .iter()
         .filter_map(Json::as_array)
-        .find(|c| c.first().and_then(Json::as_str) == Some("planlint/certify_bulk_and/rank_rows"))
-        .ok_or("missing the planlint/certify_bulk_and/rank_rows row")?;
-    let cell = |i: usize, what: &str| -> Result<f64, String> {
-        lint.get(i)
+        .collect();
+    let find = |name: &str| rows.iter().find(|c| c.first().and_then(Json::as_str) == Some(name));
+    if find("batch_bulk_and/banks/8").is_none() {
+        return Err("missing the batch_bulk_and/banks/8 headline row".into());
+    }
+    // Every ratio is same-run: a named reference must be a row of this
+    // document.
+    for cells in &rows {
+        let reference = cells.get(3).and_then(Json::as_str).unwrap_or("-");
+        if reference != "-" && find(reference).is_none() {
+            let name = cells.first().and_then(Json::as_str).unwrap_or("?");
+            return Err(format!("row {name}: reference row {reference} is not in the report"));
+        }
+    }
+    // Analyzer-overhead invariant: the static plan verifier must cost
+    // less than 5% of the batch op it certifies. Smoke runs keep the rows
+    // but skip the threshold — their single-sample timings are not
+    // meaningful.
+    let measured_us = |name: &str| -> Result<f64, String> {
+        find(name)
+            .ok_or_else(|| format!("missing the {name} row"))?
+            .get(2)
             .and_then(Json::as_str)
             .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("planlint row: unparsable {what} cell"))
+            .ok_or_else(|| format!("{name}: unparsable measured cell"))
     };
-    let op_us = cell(2, "baseline (op time)")?;
-    let certify_us = cell(3, "measured (certify time)")?;
+    let certify_us = measured_us(CERTIFY_ROW)?;
+    let op_us = measured_us(RANK_ROWS_OP)?;
     let smoke = doc
         .get("notes")
         .and_then(Json::as_array)

@@ -2,7 +2,7 @@
 //!
 //! The column owns: a handful of 1T1C cells and one dual-contact cell (DCC)
 //! on the bitline, the complementary reference bitline of the neighbor
-//! subarray, a latch-type [`SenseAmp`](crate::sense_amp::SenseAmp) with
+//! subarray, a latch-type [`SenseAmp`] with
 //! switchable rails, and a precharge unit with *split* EQ control (the
 //! ELP2IM hardware change of Fig. 1(d)).
 //!

@@ -23,6 +23,11 @@
 //! states are semantically equivalent for every input. That is the basis of
 //! [`verify_transform`], the translation-validation obligation discharged
 //! for each optimizer pass (`merge_ap_app`, `trim_restores`, `overlap`).
+//!
+//! [`AnalysisCache`] memoizes accepted verdicts by program *shape* — the
+//! program up to a renaming of its data rows, the reserved-row count and
+//! the liveness of the rows it reads before writing — so the compiler's
+//! self-check and the engines' load-time check analyze each shape once.
 
 use crate::isa::Program;
 use crate::optimizer::PhysRow;
@@ -31,7 +36,7 @@ use crate::validate::{SubarrayShape, Violation};
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of live-in rows tracked as truth-table variables
 /// (`2^16` assignments = 1024 words per table). Beyond this the analyzer
@@ -434,30 +439,12 @@ impl AnalysisReport {
 
 /// Rows a primitive reads (the stored value matters at activation).
 pub fn reads_of(p: &Primitive) -> Vec<RowRef> {
-    match *p {
-        Primitive::Ap { row }
-        | Primitive::App { row, .. }
-        | Primitive::OApp { row, .. }
-        | Primitive::TApp { row, .. }
-        | Primitive::OtApp { row, .. } => vec![row],
-        Primitive::Aap { src, .. }
-        | Primitive::OAap { src, .. }
-        | Primitive::OAppCopy { src, .. } => {
-            vec![src]
-        }
-    }
+    vec![p.source()]
 }
 
 /// Copy destinations a primitive fully overwrites.
 pub fn dst_writes_of(p: &Primitive) -> Vec<RowRef> {
-    match *p {
-        Primitive::Aap { dst, .. }
-        | Primitive::OAap { dst, .. }
-        | Primitive::OAppCopy { dst, .. } => {
-            vec![dst]
-        }
-        _ => Vec::new(),
-    }
+    p.copy_dst().into_iter().collect()
 }
 
 /// The rows a program reads before writing them — its live-in set, in
@@ -466,17 +453,14 @@ pub fn infer_live_in(prog: &Program) -> Vec<PhysRow> {
     let mut live_in: Vec<PhysRow> = Vec::new();
     let mut touched: Vec<PhysRow> = Vec::new();
     for p in prog.primitives() {
-        for row in reads_of(p) {
+        for (i, row) in p.row_iter().enumerate() {
             let phys: PhysRow = row.into();
             if !touched.contains(&phys) {
                 touched.push(phys);
-                live_in.push(phys);
-            }
-        }
-        for row in dst_writes_of(p) {
-            let phys: PhysRow = row.into();
-            if !touched.contains(&phys) {
-                touched.push(phys);
+                // The source comes first and is the only row read.
+                if i == 0 {
+                    live_in.push(phys);
+                }
             }
         }
     }
@@ -487,7 +471,7 @@ pub fn infer_live_in(prog: &Program) -> Vec<PhysRow> {
 pub fn infer_shape(prog: &Program) -> SubarrayShape {
     let mut shape = SubarrayShape { data_rows: 0, dcc_rows: 0 };
     for p in prog.primitives() {
-        for row in p.rows() {
+        for row in p.row_iter() {
             match row {
                 RowRef::Data(i) => shape.data_rows = shape.data_rows.max(i + 1),
                 RowRef::DccTrue(i) | RowRef::DccBar(i) => {
@@ -510,30 +494,113 @@ fn in_range(shape: SubarrayShape, row: RowRef) -> bool {
 // Verdict memoization
 // ---------------------------------------------------------------------------
 
-/// Cache key: the primitive sequence, the subarray shape, and the liveness
-/// of each row in the program's live-in support set (in [`infer_live_in`]
-/// order).
-type VerdictKey = (Vec<Primitive>, (usize, usize), Vec<bool>);
+/// Programs up to this many primitives build their memo key on the stack;
+/// a longer one builds it in one heap buffer per lookup.
+const STACK_KEY_PRIMITIVES: usize = 32;
 
-/// Memoizes the error verdict of [`analyze`] so a compiled program striped
-/// across many banks and subarrays is analyzed **once per (program, shape,
-/// liveness)**, not once per stripe.
+/// Placeholder filling unused key-buffer slots.
+const NO_PRIMITIVE: Primitive = Primitive::Ap { row: RowRef::Data(0) };
+
+/// Writes `prims` into `canon` (same length) with its data rows renamed to
+/// `r0, r1, …` in first-appearance order, and returns the liveness of the
+/// program's support rows (its [`infer_live_in`] set, in that order) as
+/// bits: bit `k` is whether `live` holds for the `k`-th support row.
+/// `renamed` records the concrete data row behind each canonical index and
+/// must hold `2 · prims.len()` entries.
 ///
-/// Soundness of the key: every error-severity diagnostic depends only on
-/// the primitive sequence, the shape, and whether each row the program
-/// reads-before-writing (its [`infer_live_in`] support set) is live —
-/// `RowOutOfRange`/`SameDecoderOverlap`/`ReadOfDestroyedRow`/
-/// `DanglingRegulation` are functions of the program and shape alone, and
+/// `None` when the memo cannot key the program: a row outside `shape`, a
+/// reserved row at index 64 or above, or more than 64 support rows.
+fn canonicalize(
+    prims: &[Primitive],
+    shape: SubarrayShape,
+    live: &impl Fn(PhysRow) -> bool,
+    canon: &mut [Primitive],
+    renamed: &mut [usize],
+) -> Option<u64> {
+    let mut distinct = 0;
+    let mut dcc_touched = 0u64;
+    let mut support = 0;
+    let mut flags = 0u64;
+    for (p, out) in prims.iter().zip(canon.iter_mut()) {
+        if !p.row_iter().all(|row| in_range(shape, row) && row.dcc_index().is_none_or(|i| i < 64)) {
+            return None;
+        }
+        // Only the source is read, and `map_rows` renames it first: it is
+        // a support row exactly when this is its first appearance.
+        let mut first_read = None;
+        let mut is_source = true;
+        *out = p.map_rows(|row| {
+            let (fresh, canonical) = match row {
+                RowRef::Data(i) => match renamed[..distinct].iter().position(|&r| r == i) {
+                    Some(j) => (false, RowRef::Data(j)),
+                    None => {
+                        renamed[distinct] = i;
+                        distinct += 1;
+                        (true, RowRef::Data(distinct - 1))
+                    }
+                },
+                RowRef::DccTrue(i) | RowRef::DccBar(i) => {
+                    let fresh = dcc_touched & (1 << i) == 0;
+                    dcc_touched |= 1 << i;
+                    (fresh, row)
+                }
+            };
+            if fresh && is_source {
+                first_read = Some(PhysRow::from(row));
+            }
+            is_source = false;
+            canonical
+        });
+        if let Some(row) = first_read {
+            if support == 64 {
+                return None;
+            }
+            flags |= u64::from(live(row)) << support;
+            support += 1;
+        }
+    }
+    Some(flags)
+}
+
+/// Accepted `(dcc rows, support liveness bits)` pairs per canonical
+/// program.
+type AcceptedKeys = HashMap<Box<[Primitive]>, Vec<(usize, u64)>>;
+
+/// The canonical verdict memo: remembers which program *shapes* the
+/// analyzer accepted, so a program is verified once per shape, not once
+/// per stripe, op or compilation.
+///
+/// An accepted verdict is keyed by
+///
+/// * the program with its data rows renamed in first-appearance order,
+/// * the subarray's reserved-row count, and
+/// * the liveness of the program's support rows (its [`infer_live_in`]
+///   set, in first-read order), packed into a `u64`.
+///
+/// Soundness of the key: once every row is known to be in range (checked
+/// on the concrete rows first), the analyzer's error-severity verdict
+/// depends only on row *equality* and reserved-ness —
+/// `SameDecoderOverlap`, `ReadOfDestroyedRow` and `DanglingRegulation` are
+/// functions of the primitive sequence's row-identity pattern, and
 /// `ReadOfUndefinedRow` fires exactly when a support row is dead. Rows
 /// outside the support set are never read before being written, so their
-/// liveness cannot change the verdict. Warnings and notes are not cached;
-/// callers that want full diagnostics use [`analyze`] directly.
+/// liveness cannot change the verdict. An injective renaming of data rows
+/// preserves all of that, so every renamed copy of one program shares one
+/// entry, and a workload that compiles one operation over ever-different
+/// rows keeps the memo at a handful of entries.
 ///
-/// The cache is `Sync`, so one instance can serve the bank-parallel batch
-/// executor's worker threads concurrently.
+/// A lookup builds its key on the stack and allocates nothing on a hit.
+/// A miss — or a rejection, which is never memoized — runs the full
+/// [`analyze`] on the concrete program, so the returned [`Violation`]
+/// names real rows. Warnings and notes are not memoized; callers that
+/// want full diagnostics use [`analyze`] directly.
+///
+/// The memo is `Sync`, so one instance serves the bank-parallel batch
+/// executor's worker threads concurrently; [`crate::compile::compile`]'s
+/// self-check shares one process-wide instance.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
-    verdicts: Mutex<HashMap<VerdictKey, Option<Violation>>>,
+    accepted: Mutex<AcceptedKeys>,
 }
 
 impl AnalysisCache {
@@ -542,40 +609,70 @@ impl AnalysisCache {
         Self::default()
     }
 
-    /// Number of distinct (program, shape, liveness) verdicts cached.
-    pub fn len(&self) -> usize {
-        self.verdicts.lock().expect("analysis cache lock").len()
+    /// The process-wide memo behind [`crate::compile::compile`]'s
+    /// self-check.
+    pub(crate) fn global() -> &'static AnalysisCache {
+        static GLOBAL: OnceLock<AnalysisCache> = OnceLock::new();
+        GLOBAL.get_or_init(AnalysisCache::new)
     }
 
-    /// Whether no verdict has been cached yet.
+    fn lock(&self) -> MutexGuard<'_, AcceptedKeys> {
+        self.accepted.lock().expect("analysis cache lock poisoned by a panicking analyzer")
+    }
+
+    /// Number of distinct accepted (canonical program, reserved rows,
+    /// liveness) verdicts memoized.
+    pub fn len(&self) -> usize {
+        self.lock().values().map(Vec::len).sum()
+    }
+
+    /// Whether no verdict has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The first error-severity violation of `prog` against `shape`, with
     /// `live` answering whether a physical row currently holds data.
-    /// Computed via [`analyze`] on the first miss, then served from cache.
+    /// Served from the memo when an equivalent program shape was accepted
+    /// before; computed via [`analyze`] otherwise.
     pub fn first_violation(
         &self,
         prog: &Program,
         shape: SubarrayShape,
         live: impl Fn(PhysRow) -> bool,
     ) -> Option<Violation> {
-        let support = infer_live_in(prog);
-        let flags: Vec<bool> = support.iter().map(|&r| live(r)).collect();
-        let key: VerdictKey =
-            (prog.primitives().to_vec(), (shape.data_rows, shape.dcc_rows), flags);
-        if let Some(v) = self.verdicts.lock().expect("analysis cache lock").get(&key) {
-            return v.clone();
+        let prims = prog.primitives();
+        let mut stack_canon = [NO_PRIMITIVE; STACK_KEY_PRIMITIVES];
+        let mut stack_renamed = [0usize; 2 * STACK_KEY_PRIMITIVES];
+        let mut heap_canon = Vec::new();
+        let mut heap_renamed = Vec::new();
+        let (canon, renamed) = if prims.len() <= STACK_KEY_PRIMITIVES {
+            (&mut stack_canon[..prims.len()], &mut stack_renamed[..2 * prims.len()])
+        } else {
+            heap_canon.resize(prims.len(), NO_PRIMITIVE);
+            heap_renamed.resize(2 * prims.len(), 0);
+            (&mut heap_canon[..], &mut heap_renamed[..])
+        };
+        let key = canonicalize(prims, shape, &live, canon, renamed);
+        if let Some(flags) = key {
+            let memo = self.lock();
+            if memo.get(&*canon).is_some_and(|keys| keys.contains(&(shape.dcc_rows, flags))) {
+                return None;
+            }
         }
         // Analyze outside the lock; two threads racing on the same key do
         // redundant (but identical) work, never a wrong answer. Feeding
         // only the live support rows as live-in is verdict-equivalent to
         // the engine's full live set (see the key-soundness note above).
-        let live_in: Vec<PhysRow> =
-            support.iter().zip(&key.2).filter(|&(_, &f)| f).map(|(&r, _)| r).collect();
+        let live_in: Vec<PhysRow> = infer_live_in(prog).into_iter().filter(|&r| live(r)).collect();
         let verdict = analyze(prog, shape, &live_in).to_violations().into_iter().next();
-        self.verdicts.lock().expect("analysis cache lock").insert(key, verdict.clone());
+        if let (None, Some(flags)) = (&verdict, key) {
+            let mut memo = self.lock();
+            let keys = memo.entry(Box::from(&*canon)).or_default();
+            if !keys.contains(&(shape.dcc_rows, flags)) {
+                keys.push((shape.dcc_rows, flags));
+            }
+        }
         verdict
     }
 }
@@ -765,19 +862,15 @@ impl Analyzer {
     }
 
     fn step(&mut self, at: usize, p: &Primitive) {
-        for row in p.rows() {
+        for row in p.row_iter() {
             if !in_range(self.shape, row) {
                 self.diag(at, Severity::Error, DiagnosticKind::RowOutOfRange { row });
             }
         }
-        if p.requires_dual_decoder() {
-            let rows = p.rows();
-            if rows.len() == 2 && rows[0].is_reserved() == rows[1].is_reserved() {
-                self.diag(
-                    at,
-                    Severity::Error,
-                    DiagnosticKind::SameDecoderOverlap { a: rows[0], b: rows[1] },
-                );
+        if let (true, Some(b)) = (p.requires_dual_decoder(), p.copy_dst()) {
+            let a = p.source();
+            if a.is_reserved() == b.is_reserved() {
+                self.diag(at, Severity::Error, DiagnosticKind::SameDecoderOverlap { a, b });
             }
         }
         match *p {
@@ -853,11 +946,11 @@ impl Analyzer {
             let mut read_again = false;
             let mut overwritten = false;
             for later in &prims[at + 1..] {
-                if reads_of(later).iter().any(|r| PhysRow::from(*r) == phys) {
+                if PhysRow::from(later.source()) == phys {
                     read_again = true;
                     break;
                 }
-                if dst_writes_of(later).iter().any(|r| PhysRow::from(*r) == phys) {
+                if later.copy_dst().is_some_and(|r| PhysRow::from(r) == phys) {
                     overwritten = true;
                     break;
                 }
@@ -1447,26 +1540,26 @@ mod tests {
 
     /// Pins the cache-key soundness audit: the verdict key includes the
     /// liveness of every support row, so the same (program, shape) probed
-    /// under different live-in sets yields *different* verdicts from
-    /// *separate* cache entries — a key on (program, shape) alone would
-    /// serve the first verdict to both.
+    /// under different live-in sets yields *different* verdicts — a key on
+    /// (program, shape) alone would serve the memoized acceptance to the
+    /// dead probe. Rejections are never memoized.
     #[test]
     fn cache_key_includes_live_in_flags() {
         let cache = AnalysisCache::new();
         let prog = Program::new("read-r0", vec![Primitive::Ap { row: RowRef::Data(0) }]);
+        let live = cache.first_violation(&prog, SHAPE, |r| r == PhysRow::Data(0));
+        assert_eq!(live, None);
+        assert_eq!(cache.len(), 1, "an accepted verdict is memoized");
         let dead = cache.first_violation(&prog, SHAPE, |_| false);
         assert!(
             matches!(dead, Some(Violation::ReadOfUndefinedRow { row: RowRef::Data(0), .. })),
             "{dead:?}"
         );
-        let live = cache.first_violation(&prog, SHAPE, |r| r == PhysRow::Data(0));
-        assert_eq!(live, None);
-        assert_eq!(cache.len(), 2, "distinct liveness must occupy distinct entries");
-        // Repeat probes are cache hits: the verdicts stay split and no new
-        // entries appear.
+        assert_eq!(cache.len(), 1, "a rejection is not memoized");
+        // Repeat probes keep the verdicts split and add no entries.
         assert!(cache.first_violation(&prog, SHAPE, |_| false).is_some());
         assert!(cache.first_violation(&prog, SHAPE, |r| r == PhysRow::Data(0)).is_none());
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 1);
         // Liveness of rows outside the support set cannot split the key:
         // r1 is never read before written, so its liveness is irrelevant.
         let copy = Program::new(
@@ -1480,5 +1573,43 @@ mod tests {
             .first_violation(&copy, SHAPE, |r| { r == PhysRow::Data(0) || r == PhysRow::Data(1) })
             .is_none());
         assert_eq!(cache.len(), before + 1, "non-support liveness must not split the key");
+    }
+
+    /// The memo keys programs up to an injective renaming of data rows:
+    /// a thousand renamed copies of one program share one entry, while a
+    /// rejected copy is still analyzed concretely and names its real rows.
+    #[test]
+    fn renamed_copies_share_one_entry() {
+        let cache = AnalysisCache::new();
+        let shape = SubarrayShape { data_rows: 4096, dcc_rows: 1 };
+        let and = |a: usize, b: usize, dst: usize| {
+            let rows = crate::compile::Operands { a, b, dst, scratch: None };
+            crate::compile::compile(
+                crate::compile::LogicOp::And,
+                crate::compile::CompileMode::LowLatency,
+                rows,
+                1,
+            )
+            .unwrap()
+        };
+        for i in 0..1000 {
+            let (a, b) = (3 * i, 3 * i + 1);
+            let prog = and(a, b, 3 * i + 2);
+            let live = |r: PhysRow| r == PhysRow::Data(a) || r == PhysRow::Data(b);
+            assert_eq!(cache.first_violation(&prog, shape, live), None);
+        }
+        assert_eq!(cache.len(), 1, "renamings of one program must share one entry");
+        let dead_b = cache.first_violation(&and(7, 9, 11), shape, |r| r == PhysRow::Data(7));
+        assert!(
+            matches!(dead_b, Some(Violation::ReadOfUndefinedRow { row: RowRef::Data(9), .. })),
+            "{dead_b:?}"
+        );
+        // Out-of-range rows bypass the memo and report the concrete row.
+        let far = cache.first_violation(&and(0, 1, 5000), shape, |_| true);
+        assert!(
+            matches!(far, Some(Violation::RowOutOfRange { row: RowRef::Data(5000), .. })),
+            "{far:?}"
+        );
+        assert_eq!(cache.len(), 1);
     }
 }

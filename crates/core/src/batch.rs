@@ -18,7 +18,7 @@
 //!   DDR3-1600 module).
 //! * **Scheduling is batch-at-once.** Each operation hands the complete
 //!   per-bank command streams, keyed by [`TopoPath`], to the stateless
-//!   [`HierarchicalScheduler`](elp2im_dram::hierarchy::HierarchicalScheduler),
+//!   [`HierarchicalScheduler`],
 //!   which reports the true wall-clock [`makespan`](RunStats::makespan)
 //!   and [`pump_stall`](RunStats::pump_stall) under per-rank charge-pump
 //!   windows and per-channel buses, alongside the serial
@@ -38,10 +38,17 @@
 //! * **Striping is word-level and zero-copy.** `store`/`load` move whole
 //!   64-bit word runs between host vectors and the engines' row arenas
 //!   ([`write_row_from`](crate::engine::SubarrayEngine::write_row_from)/
-//!   [`read_row_into`](crate::engine::SubarrayEngine::read_row_into)),
-//!   and each compiled program's static analysis is memoized in a shared
-//!   [`AnalysisCache`], so a program is verified once per (program, shape,
-//!   liveness) rather than once per stripe per bank.
+//!   [`read_row_into`](crate::engine::SubarrayEngine::read_row_into)).
+//! * **A warm op allocates a fixed amount, nothing per stripe.** Each
+//!   program's static verdict comes from a canonical verdict memo
+//!   ([`AnalysisCache`]) that keys a program up to a renaming of its data
+//!   rows, so a program shape is analyzed once, not once per stripe, op
+//!   or compilation, and a hit allocates nothing. A program's command
+//!   profiles are computed once per op, and the per-unit work lists and
+//!   command streams live in buffers the array reuses across ops. What
+//!   remains per op is the compiled program and the schedule and entry it
+//!   returns: 13 allocations for an AND + release on the default module,
+//!   at 2 stripes or 8.
 //! * **Expressions evaluate gate at a time.** [`DeviceArray::eval_expr`]
 //!   runs each distinct gate of an [`Expr`] as one batch operation and
 //!   adds the operations' makespans, since each gate waits for its
@@ -67,12 +74,12 @@ use elp2im_dram::interleave::Schedule;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
 use elp2im_dram::timing::Ddr3Timing;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Per-unit programs to execute: `(subarray, program)` pairs in plan order,
-/// indexed by flat unit.
-type UnitWork = Vec<Vec<(usize, Arc<Program>)>>;
+/// One unit's programs to execute: `(subarray, program)` pairs in plan
+/// order.
+type UnitPrograms = Vec<(usize, Arc<Program>)>;
 
 /// Batch-layer configuration.
 #[derive(Debug, Clone)]
@@ -232,6 +239,33 @@ impl PlanRecord {
     }
 }
 
+/// The buffers an operation is prepared into, kept by [`DeviceArray`]
+/// across operations so that a warm op allocates nothing per stripe or per
+/// busy unit.
+#[derive(Debug, Default)]
+struct OpBuffers {
+    /// The operand stripes: `a`'s stripe and `b`'s row on it (`a`'s own
+    /// row for NOT).
+    operands: Vec<(Stripe, usize)>,
+    /// Per flat unit, the programs it executes.
+    work: Vec<UnitPrograms>,
+    /// Per busy unit, in path order, its path and command stream. Only the
+    /// first `busy` entries belong to the current op; the rest keep their
+    /// capacity for later ones.
+    streams: Vec<(TopoPath, Vec<CommandProfile>)>,
+    busy: usize,
+    /// The command profiles of the op's most recently compiled program.
+    profiles: Vec<CommandProfile>,
+}
+
+impl OpBuffers {
+    /// The current op's command streams, path-sorted with one entry per
+    /// busy unit.
+    fn streams(&self) -> &[(TopoPath, Vec<CommandProfile>)] {
+        &self.streams[..self.busy]
+    }
+}
+
 /// One bank: its subarray engines (fault-injection capable; a clean bank
 /// is a pass-through wrapper over its [`SubarrayEngine`]s) and row
 /// allocators.
@@ -338,6 +372,8 @@ pub struct DeviceArray {
     /// The record the operation being prepared fills; it replaces
     /// `last_plan` only once preparation succeeds.
     next_plan: PlanRecord,
+    /// What the operation being prepared runs and schedules.
+    op: OpBuffers,
 }
 
 /// Minimum word-work (primitives × words per row) each host worker must
@@ -364,7 +400,7 @@ fn host_threads() -> usize {
 /// stopping at the first error.
 fn run_units(
     units: &mut [BankUnit],
-    work: &[Vec<(usize, Arc<Program>)>],
+    work: &[UnitPrograms],
     cache: &AnalysisCache,
 ) -> Result<(), CoreError> {
     for (unit, programs) in units.iter_mut().zip(work) {
@@ -396,7 +432,8 @@ impl DeviceArray {
     /// Creates an array with every subarray empty.
     pub fn new(config: BatchConfig) -> Self {
         let g = config.topology.geometry;
-        let banks: Vec<BankUnit> = (0..config.topology.total_banks())
+        let units = config.topology.total_banks();
+        let banks: Vec<BankUnit> = (0..units)
             .map(|_| BankUnit {
                 engines: (0..g.subarrays_per_bank)
                     .map(|_| {
@@ -424,6 +461,10 @@ impl DeviceArray {
             reliability: MetricsRegistry::new(),
             last_plan: None,
             next_plan: PlanRecord::default(),
+            op: OpBuffers {
+                work: (0..units).map(|_| Vec::new()).collect(),
+                ..OpBuffers::default()
+            },
         }
     }
 
@@ -752,34 +793,63 @@ impl DeviceArray {
 
     /// Compiles `op` over every stripe of `a` (and `b`), allocating
     /// destination rows with the same channel-major placement. Returns
-    /// the new entry plus per-unit work (programs to execute) and
-    /// per-unit command streams (profiles to schedule), keyed by
-    /// [`TopoPath`].
-    #[allow(clippy::type_complexity)]
+    /// the new entry, and leaves the per-unit work (programs to execute)
+    /// and the per-unit command streams (profiles to schedule, keyed by
+    /// [`TopoPath`]) in the op buffers.
     fn prepare(
         &mut self,
         op: LogicOp,
         a: BatchHandle,
         b: Option<BatchHandle>,
-    ) -> Result<(BatchEntry, UnitWork, Vec<(TopoPath, Vec<CommandProfile>)>), CoreError> {
-        let ea = self.entry(a)?.clone();
-        if let Some(b) = b {
-            let eb = self.entry(b)?;
-            if ea.len != eb.len {
-                return Err(CoreError::WidthMismatch { expected: ea.len, got: eb.len });
+    ) -> Result<BatchEntry, CoreError> {
+        // The buffers leave `self` while they fill, so the fill can borrow
+        // the allocators and engines beside them.
+        let mut ops = std::mem::take(&mut self.op);
+        let prepared = self.prepare_into(&mut ops, op, a, b);
+        self.op = ops;
+        prepared
+    }
+
+    fn prepare_into(
+        &mut self,
+        ops: &mut OpBuffers,
+        op: LogicOp,
+        a: BatchHandle,
+        b: Option<BatchHandle>,
+    ) -> Result<BatchEntry, CoreError> {
+        let ea = self.entry(a)?;
+        let len = ea.len;
+        let eb = b.map(|b| self.entry(b)).transpose()?;
+        if let Some(eb) = eb {
+            if eb.len != len {
+                return Err(CoreError::WidthMismatch { expected: len, got: eb.len });
             }
         }
-        let eb = b.map(|b| self.entry(b).cloned()).transpose()?;
+        ops.operands.clear();
+        ops.operands.extend(ea.stripes.iter().enumerate().map(|(ci, &sa)| {
+            let rb = match eb {
+                Some(eb) => {
+                    let sb = eb.stripes[ci];
+                    debug_assert_eq!(
+                        (sa.bank, sa.subarray),
+                        (sb.bank, sb.subarray),
+                        "channel-major placement keeps operand stripes co-located"
+                    );
+                    sb.row
+                }
+                None => sa.row,
+            };
+            (sa, rb)
+        }));
 
-        let mut stripes = Vec::with_capacity(ea.stripes.len());
-        let mut work: UnitWork = (0..self.banks.len()).map(|_| Vec::new()).collect();
-        // Streams merge per flat unit in O(log units) — keyed by index,
-        // converted to paths once at the end.
-        let mut streams: BTreeMap<usize, Vec<CommandProfile>> = BTreeMap::new();
+        let mut stripes = Vec::with_capacity(ops.operands.len());
+        for programs in &mut ops.work {
+            programs.clear();
+        }
         // Channel-major placement gives co-located stripes identical allocator
         // trajectories, so consecutive stripes almost always compile to the
-        // same program; memoizing the last (rows -> program) pair turns the
-        // per-stripe compile into an Arc bump.
+        // same program; memoizing the last (rows -> program) pair, with its
+        // command profiles, turns the per-stripe compile into an Arc bump.
         let mut compiled: Option<(Operands, Arc<Program>)> = None;
         // What the static verifier's plan is built from on demand: the
         // same steps, plus each touched subarray's live-in, snapshot before
@@ -790,7 +860,7 @@ impl DeviceArray {
         // whenever written.
         let record = &mut self.next_plan;
         record.clear();
-        record.touched.extend(ea.stripes.iter().map(|s| (s.bank, s.subarray)));
+        record.touched.extend(ops.operands.iter().map(|(s, _)| (s.bank, s.subarray)));
         record.touched.sort_unstable();
         record.touched.dedup();
         for &(unit, subarray) in &record.touched {
@@ -798,22 +868,29 @@ impl DeviceArray {
             bank.engines[subarray]
                 .pack_live_rows(bank.allocs[subarray].allocated_words(), &mut record.live_words);
         }
+        // One stream per busy unit, in unit (= path) order: the touched
+        // pairs are unit-sorted.
+        ops.busy = 0;
+        let mut last_unit = None;
+        for &(unit, _) in &record.touched {
+            if last_unit == Some(unit) {
+                continue;
+            }
+            last_unit = Some(unit);
+            let path = self.config.topology.path(unit);
+            match ops.streams.get_mut(ops.busy) {
+                Some((p, stream)) => {
+                    *p = path;
+                    stream.clear();
+                }
+                None => ops.streams.push((path, Vec::new())),
+            }
+            ops.busy += 1;
+        }
         // A stripe's destination row is taken before its program compiles,
         // so a failure part-way returns every row taken so far.
         let filled = (|| -> Result<(), CoreError> {
-            for (ci, sa) in ea.stripes.iter().enumerate() {
-                let rb = match &eb {
-                    Some(eb) => {
-                        let sb = eb.stripes[ci];
-                        debug_assert_eq!(
-                            (sa.bank, sa.subarray),
-                            (sb.bank, sb.subarray),
-                            "channel-major placement keeps operand stripes co-located"
-                        );
-                        sb.row
-                    }
-                    None => sa.row,
-                };
+            for &(sa, rb) in &ops.operands {
                 let dst = self.banks[sa.bank].allocs[sa.subarray].alloc()?;
                 stripes.push(Stripe { bank: sa.bank, subarray: sa.subarray, row: dst });
                 let rows = Operands { a: sa.row, b: rb, dst, scratch: None };
@@ -826,20 +903,25 @@ impl DeviceArray {
                             rows,
                             self.config.reserved_rows,
                         )?);
+                        let timing = self.banks[sa.bank].engines[sa.subarray].timing();
+                        ops.profiles.clear();
+                        ops.profiles.extend(p.primitives().iter().map(|x| x.profile(timing)));
                         compiled = Some((rows, Arc::clone(&p)));
                         p
                     }
                 };
-                let timing = self.banks[sa.bank].engines[sa.subarray].timing();
-                let profiles = prog.profiles(timing);
-                streams.entry(sa.bank).or_default().extend(profiles);
-                record.steps.push(PlanStep {
+                let path = self.config.topology.path(sa.bank);
+                let slot = ops.streams[..ops.busy]
+                    .binary_search_by_key(&path, |(p, _)| *p)
+                    .expect("every operand unit has a stream");
+                ops.streams[slot].1.extend_from_slice(&ops.profiles);
+                self.next_plan.steps.push(PlanStep {
                     unit: sa.bank,
                     subarray: sa.subarray,
-                    stream: self.config.topology.path(sa.bank),
+                    stream: path,
                     program: Arc::clone(&prog),
                 });
-                work[sa.bank].push((sa.subarray, prog));
+                ops.work[sa.bank].push((sa.subarray, prog));
             }
             Ok(())
         })();
@@ -852,21 +934,16 @@ impl DeviceArray {
         let done =
             std::mem::replace(&mut self.next_plan, self.last_plan.take().unwrap_or_default());
         self.last_plan = Some(done);
-        let streams = streams
-            .into_iter()
-            .map(|(unit, profiles)| (self.config.topology.path(unit), profiles))
-            .collect();
-        Ok((BatchEntry { len: ea.len, stripes }, work, streams))
+        Ok(BatchEntry { len, stripes })
     }
 
     /// Executes every unit's programs on its engines, fanning out over at
     /// most [`host_threads`] workers and only as many as the op's total
     /// word-work pays for ([`PARALLEL_MIN_WORDS`] each). One worker means
     /// the calling thread runs everything serially.
-    fn run_banks(&mut self, work: &UnitWork) -> Result<(), CoreError> {
+    fn run_banks(&mut self, work: &[UnitPrograms], busy: usize) -> Result<(), CoreError> {
         let words_per_row = self.config.topology.geometry.row_bits().div_ceil(64);
         let primitives: usize = work.iter().flatten().map(|(_, p)| p.primitives().len()).sum();
-        let busy = work.iter().filter(|programs| !programs.is_empty()).count();
         let workers = host_threads().min(busy).min(primitives * words_per_row / PARALLEL_MIN_WORDS);
         self.run_banks_on(work, workers)
     }
@@ -877,7 +954,7 @@ impl DeviceArray {
     /// state and each chunk runs its units in ascending order, stopping at
     /// its first error; chunk results are then taken in order, so the
     /// lowest failing unit's error wins for every worker count.
-    fn run_banks_on(&mut self, work: &UnitWork, workers: usize) -> Result<(), CoreError> {
+    fn run_banks_on(&mut self, work: &[UnitPrograms], workers: usize) -> Result<(), CoreError> {
         let cache = &self.analysis_cache;
         if workers <= 1 {
             return run_units(&mut self.banks, work, cache);
@@ -899,12 +976,9 @@ impl DeviceArray {
         })
     }
 
-    /// Certifies (debug builds), runs and schedules a prepared operation.
-    fn execute(
-        &mut self,
-        work: &UnitWork,
-        streams: &[(TopoPath, Vec<CommandProfile>)],
-    ) -> Result<Schedule, CoreError> {
+    /// Certifies (debug builds), runs and schedules the prepared operation
+    /// in the op buffers.
+    fn execute(&mut self) -> Result<Schedule, CoreError> {
         // Debug builds certify every prepared plan before anything runs:
         // the borrow checker, hazard analysis, and timing proofs must all
         // accept what the batch layer is about to execute. A rejection
@@ -915,12 +989,16 @@ impl DeviceArray {
         {
             return Err(CoreError::PlanRejected(err.to_string()));
         }
-        self.run_banks(work)?;
-        match self.sink.as_mut() {
-            Some(sink) => self.scheduler.schedule_traced(streams, sink.as_mut()),
-            None => self.scheduler.schedule(streams),
-        }
-        .map_err(CoreError::Schedule)
+        let ops = std::mem::take(&mut self.op);
+        let scheduled = self.run_banks(&ops.work, ops.busy).and_then(|()| {
+            match self.sink.as_mut() {
+                Some(sink) => self.scheduler.schedule_traced(ops.streams(), sink.as_mut()),
+                None => self.scheduler.schedule(ops.streams()),
+            }
+            .map_err(CoreError::Schedule)
+        });
+        self.op = ops;
+        scheduled
     }
 
     fn run_op(
@@ -929,20 +1007,22 @@ impl DeviceArray {
         a: BatchHandle,
         b: Option<BatchHandle>,
     ) -> Result<(BatchHandle, BatchRun), CoreError> {
-        let (entry, work, streams) = self.prepare(op, a, b)?;
-        let schedule = match self.execute(&work, &streams) {
+        let entry = self.prepare(op, a, b)?;
+        let schedule = match self.execute() {
             Ok(schedule) => schedule,
             Err(e) => {
                 self.free_stripes(&entry.stripes)?;
                 return Err(e);
             }
         };
+        let streams = self.op.streams();
         let banks_used = streams.len();
-        let channels_used = {
-            let mut channels: Vec<usize> = streams.iter().map(|(p, _)| p.channel).collect();
-            channels.dedup(); // streams are path-sorted, so dedup suffices
-            channels.len()
-        };
+        // Streams are path-sorted, so each channel's streams are adjacent.
+        let channels_used = streams
+            .iter()
+            .enumerate()
+            .filter(|&(i, (p, _))| i == 0 || streams[i - 1].0.channel != p.channel)
+            .count();
         // Operations are sequentially dependent at this layer: makespans
         // (and the background energy accrued over them) add.
         self.totals.merge_sequential(&schedule.stats);
@@ -985,7 +1065,7 @@ impl DeviceArray {
     /// # Errors
     ///
     /// A variable index beyond `inputs` reports as
-    /// [`CoreError::InvalidHandle`] naming that index. Operation errors
+    /// [`CoreError::UnknownVariable`] naming that index. Operation errors
     /// propagate after the intermediates computed so far are released.
     pub fn eval_expr(
         &mut self,
@@ -993,7 +1073,7 @@ impl DeviceArray {
         inputs: &[BatchHandle],
     ) -> Result<(BatchHandle, RunStats), CoreError> {
         if let Some(max) = expr.max_var().filter(|&max| max >= inputs.len()) {
-            return Err(CoreError::InvalidHandle(max));
+            return Err(CoreError::UnknownVariable { var: max, inputs: inputs.len() });
         }
         let mut gates = HashMap::new();
         let mut total = RunStats::new();
@@ -1067,7 +1147,7 @@ impl DeviceArray {
         a: BatchHandle,
         b: Option<BatchHandle>,
     ) -> Result<BatchPlan, CoreError> {
-        let (entry, _work, _streams) = self.prepare(op, a, b)?;
+        let entry = self.prepare(op, a, b)?;
         self.free_stripes(&entry.stripes)?;
         Ok(self.last_plan().expect("prepare always records a plan").clone())
     }
@@ -1089,6 +1169,7 @@ impl DeviceArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn pattern(bits: usize, period: usize) -> BitVec {
         (0..bits).map(|i| i % period == 0).collect()
@@ -1521,7 +1602,10 @@ mod tests {
     fn eval_expr_rejects_unknown_variables() {
         let mut m = small(2);
         let ha = m.store(&BitVec::ones(8)).unwrap();
-        assert!(matches!(m.eval_expr(&Expr::var(3), &[ha]), Err(CoreError::InvalidHandle(3))));
+        assert_eq!(
+            m.eval_expr(&Expr::var(3), &[ha]).map(|(h, _)| h),
+            Err(CoreError::UnknownVariable { var: 3, inputs: 1 })
+        );
     }
 
     #[test]
@@ -1704,7 +1788,8 @@ mod tests {
         workers: usize,
         corrupt: &[(usize, usize)],
     ) -> Result<BatchHandle, CoreError> {
-        let (entry, mut work, _) = m.prepare(LogicOp::Xor, a, Some(b))?;
+        let entry = m.prepare(LogicOp::Xor, a, Some(b))?;
+        let mut work = std::mem::take(&mut m.op.work);
         // `(unit, row)`: that unit's first program reads a never-written
         // row, which its engine's static check rejects naming the row.
         for &(unit, row) in corrupt {
@@ -1712,7 +1797,9 @@ mod tests {
             let rows = Operands { a: row, b: row, dst: row - 1, scratch: None };
             *prog = Arc::new(compile(LogicOp::And, CompileMode::LowLatency, rows, 1).unwrap());
         }
-        m.run_banks_on(&work, workers)?;
+        let ran = m.run_banks_on(&work, workers);
+        m.op.work = work;
+        ran?;
         Ok(m.insert(entry))
     }
 

@@ -15,7 +15,7 @@
 //! Every generated program is property-tested against software Boolean
 //! logic on the functional engine.
 
-use crate::analysis::analyze;
+use crate::analysis::AnalysisCache;
 use crate::error::CoreError;
 use crate::isa::Program;
 use crate::optimizer::PhysRow;
@@ -141,35 +141,34 @@ fn mode_of(op: LogicOp) -> RegulateMode {
     }
 }
 
-/// The rows a compiled operation may assume hold data: its operands (plus
-/// the destination for in-place mode, whose prior content *is* operand
-/// `b`). Everything else — scratch, reserved rows, the destination — must
-/// be written before it is read, and the self-check proves it.
-fn declared_live_in(unary: bool, in_place: bool, rows: Operands) -> Vec<PhysRow> {
-    if unary {
-        vec![PhysRow::Data(rows.a)]
-    } else if in_place {
-        vec![PhysRow::Data(rows.a), PhysRow::Data(rows.dst)]
-    } else {
-        vec![PhysRow::Data(rows.a), PhysRow::Data(rows.b)]
-    }
+/// Whether `row` is one a compiled operation may assume holds data: its
+/// operands (plus the destination for in-place mode, whose prior content
+/// *is* operand `b`). Everything else — scratch, reserved rows, the
+/// destination — must be written before it is read, and the self-check
+/// proves it.
+fn declared_live_in(unary: bool, in_place: bool, rows: Operands, row: PhysRow) -> bool {
+    let second = if in_place { rows.dst } else { rows.b };
+    row == PhysRow::Data(rows.a) || (!unary && row == PhysRow::Data(second))
 }
 
 /// Runs the static analyzer over a freshly compiled program with only the
 /// declared operands live-in: every compiler output must be legal and
-/// def-use sound for *all* operand values before it is handed out.
+/// def-use sound for *all* operand values before it is handed out. The
+/// verdict comes from the process-wide canonical verdict memo
+/// ([`AnalysisCache`]), so each program shape is analyzed once per
+/// process, not once per compilation.
 fn self_check(
     prog: &Program,
     rows: Operands,
     reserved_rows: usize,
-    live_in: &[PhysRow],
+    live_in: impl Fn(PhysRow) -> bool,
 ) -> Result<(), CoreError> {
     let data_rows = 1 + [Some(rows.a), Some(rows.b), Some(rows.dst), rows.scratch]
         .into_iter()
         .flatten()
         .fold(0, usize::max);
     let shape = SubarrayShape { data_rows, dcc_rows: reserved_rows };
-    match analyze(prog, shape, live_in).to_violations().into_iter().next() {
+    match AnalysisCache::global().first_violation(prog, shape, live_in) {
         Some(v) => Err(v.into()),
         None => Ok(()),
     }
@@ -361,8 +360,8 @@ pub fn compile(
             }
         },
     }?;
-    let live_in = declared_live_in(op.is_unary(), mode == CompileMode::InPlace, rows);
-    self_check(&prog, rows, reserved_rows, &live_in)?;
+    let (unary, in_place) = (op.is_unary(), mode == CompileMode::InPlace);
+    self_check(&prog, rows, reserved_rows, |row| declared_live_in(unary, in_place, rows, row))?;
     Ok(prog)
 }
 
@@ -508,7 +507,7 @@ pub fn xor_sequence(n: u8, rows: Operands, reserved_rows: usize) -> Result<Progr
         }
     };
     let prog = prog?;
-    self_check(&prog, rows, reserved_rows, &declared_live_in(false, false, rows))?;
+    self_check(&prog, rows, reserved_rows, |row| declared_live_in(false, false, rows, row))?;
     Ok(prog)
 }
 

@@ -489,7 +489,7 @@ impl SubarrayEngine {
     }
 
     fn account(&mut self, p: &Primitive) {
-        for row in p.rows() {
+        for row in p.row_iter() {
             let idx = match row {
                 RowRef::Data(i) => self.dcc_rows + i,
                 RowRef::DccTrue(i) | RowRef::DccBar(i) => i,

@@ -99,6 +99,24 @@ pub enum CoreError {
         /// Column width in bits.
         width: u32,
     },
+    /// An expression named a variable beyond the inputs supplied.
+    UnknownVariable {
+        /// The variable index.
+        var: usize,
+        /// Number of inputs supplied (valid indices are `0..inputs`).
+        inputs: usize,
+    },
+    /// A bit-serial arithmetic operation was given no operands (no
+    /// bit-planes, or no terms).
+    EmptyOperands,
+    /// A ternary-weight dot product was given a weight outside
+    /// `{-1, 0, 1}`.
+    WeightOutOfRange {
+        /// Position of the weight.
+        index: usize,
+        /// The weight.
+        weight: i8,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -146,6 +164,13 @@ impl fmt::Display for CoreError {
             CoreError::UnknownColumn(name) => write!(f, "unknown column `{name}`"),
             CoreError::ConstantOutOfRange { constant, width } => {
                 write!(f, "constant {constant} does not fit a {width}-bit column")
+            }
+            CoreError::UnknownVariable { var, inputs } => {
+                write!(f, "variable x{var} out of range ({inputs} inputs supplied)")
+            }
+            CoreError::EmptyOperands => f.write_str("operation needs at least one operand plane"),
+            CoreError::WeightOutOfRange { index, weight } => {
+                write!(f, "weight {index} is {weight}; ternary weights are -1, 0 or 1")
             }
         }
     }

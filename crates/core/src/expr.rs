@@ -273,8 +273,8 @@ pub struct ExprOperands {
 ///
 /// # Errors
 ///
-/// * Variable errors are reported as [`CoreError::InvalidHandle`] with
-///   the variable index.
+/// * [`CoreError::UnknownVariable`] when the expression names a variable
+///   beyond `rows.inputs`.
 /// * [`CoreError::CapacityExceeded`] when `rows.temps` cannot hold the
 ///   live intermediate set under either lowering.
 /// * Compilation errors of the basic operations propagate.
@@ -286,7 +286,7 @@ pub fn compile_expr(
 ) -> Result<Program, CoreError> {
     if let Some(max) = expr.max_var() {
         if max >= rows.inputs.len() {
-            return Err(CoreError::InvalidHandle(max));
+            return Err(CoreError::UnknownVariable { var: max, inputs: rows.inputs.len() });
         }
     }
     if rows.inputs.len() <= MAX_VARS {
@@ -319,7 +319,7 @@ pub fn compile_expr_greedy(
 ) -> Result<Program, CoreError> {
     if let Some(max) = expr.max_var() {
         if max >= rows.inputs.len() {
-            return Err(CoreError::InvalidHandle(max));
+            return Err(CoreError::UnknownVariable { var: max, inputs: rows.inputs.len() });
         }
     }
     let expanded = expr.expand();
@@ -675,7 +675,9 @@ mod tests {
     fn unknown_variable_rejected() {
         let rows = ExprOperands { inputs: vec![0], dst: 1, temps: vec![2, 3] };
         let err = compile_expr(&Expr::var(5), &rows, CompileMode::LowLatency, 1).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidHandle(5)));
+        assert_eq!(err, CoreError::UnknownVariable { var: 5, inputs: 1 });
+        let err = compile_expr_greedy(&Expr::var(5), &rows, CompileMode::LowLatency, 1);
+        assert_eq!(err, Err(CoreError::UnknownVariable { var: 5, inputs: 1 }));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!    pair; the APP alone computes, restores, and regulates (Fig. 8,
 //!    sequence 1 → 2).
 //! 2. [`trim_restores`] — an APP whose accessed row is dead afterwards can
-//!    skip the restore (tAPP; restore truncation [32], sequence 2 → 3).
+//!    skip the restore (tAPP; restore truncation \[32\], sequence 2 → 3).
 //! 3. [`overlap`] — with the row-buffer-decoupling isolation transistor
-//!    (§4.2.1, [31]), APP → oAPP and tAPP → otAPP (sequence 4 → 5).
+//!    (§4.2.1, \[31\]), APP → oAPP and tAPP → otAPP (sequence 4 → 5).
 
 use crate::analysis::{verify_transform, EquivalenceError};
 use crate::isa::Program;
@@ -167,7 +167,7 @@ fn row_is_dead(prims: &[Primitive], at: usize, row: RowRef, preserve: &HashSet<P
 }
 
 /// Substitutes overlapped variants (APP → oAPP, tAPP → otAPP); legal when
-/// the isolation transistor of [31] is present (§4.2.1).
+/// the isolation transistor of \[31\] is present (§4.2.1).
 pub fn overlap(prog: &Program) -> Program {
     #[cfg(test)]
     pass_counters::bump_overlap();

@@ -14,7 +14,8 @@
 //!
 //! 1. **Row borrow checking.** Per (bank, subarray), physical rows are
 //!    tracked through the plan's steps with the same abstract domain the
-//!    program analyzer uses ([`AbstractVal`] / truth tables),
+//!    program analyzer uses
+//!    ([`AbstractVal`](crate::analysis::AbstractVal) / truth tables),
 //!    interprocedurally: a step's final row states seed the next step's
 //!    live-in. Cross-program clobbers of live data rows
 //!    ([`PlanDiagnosticKind::RowClobber`]), reads of temps a previous step
@@ -41,11 +42,11 @@
 //! single-program and plan-level verdicts can never disagree.
 
 use crate::analysis::{
-    analyze, dst_writes_of, infer_live_in, reads_of, AnalysisReport, Diagnostic, DiagnosticKind,
-    Severity,
+    analyze, infer_live_in, AnalysisReport, Diagnostic, DiagnosticKind, Severity,
 };
 use crate::isa::Program;
 use crate::optimizer::PhysRow;
+use crate::primitive::Primitive;
 use crate::validate::SubarrayShape;
 use elp2im_dram::constraint::PumpBudget;
 use elp2im_dram::geometry::{TopoPath, Topology};
@@ -338,16 +339,15 @@ impl PlanReport {
 
 /// Rows a step reads anywhere in its program (syntactic).
 fn step_reads(prog: &Program) -> BTreeSet<PhysRow> {
-    prog.primitives().iter().flat_map(reads_of).map(PhysRow::from).collect()
+    prog.primitives().iter().map(|p| PhysRow::from(p.source())).collect()
 }
 
 /// Rows a step writes: copy destinations plus trimmed (destroyed) rows.
 /// Pure restores write back the value just read, so they are not writes
 /// for hazard purposes.
 fn step_writes(prog: &Program) -> BTreeSet<PhysRow> {
-    use crate::primitive::Primitive;
     let mut out: BTreeSet<PhysRow> =
-        prog.primitives().iter().flat_map(dst_writes_of).map(PhysRow::from).collect();
+        prog.primitives().iter().filter_map(Primitive::copy_dst).map(PhysRow::from).collect();
     for p in prog.primitives() {
         if let Primitive::TApp { row, .. } | Primitive::OtApp { row, .. } = *p {
             out.insert(PhysRow::from(row));
@@ -420,14 +420,13 @@ struct ProgFacts {
 
 impl ProgFacts {
     fn of(prog: &Program) -> Self {
-        let named = prog.primitives().iter().flat_map(|p| p.rows()).map(PhysRow::from).collect();
+        let named =
+            prog.primitives().iter().flat_map(Primitive::row_iter).map(PhysRow::from).collect();
         let mut seen: BTreeSet<PhysRow> = BTreeSet::new();
         let mut first_dst_writes = Vec::new();
         for p in prog.primitives() {
-            for r in reads_of(p) {
-                seen.insert(PhysRow::from(r));
-            }
-            for r in dst_writes_of(p) {
+            seen.insert(PhysRow::from(p.source()));
+            if let Some(r) = p.copy_dst() {
                 let phys = PhysRow::from(r);
                 if seen.insert(phys) {
                     first_dst_writes.push(phys);

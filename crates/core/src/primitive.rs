@@ -188,15 +188,61 @@ impl Primitive {
 
     /// Rows this primitive raises wordlines for.
     pub fn rows(&self) -> Vec<RowRef> {
+        self.row_iter().collect()
+    }
+
+    /// [`Primitive::rows`] without allocating: the [`source`](Self::source),
+    /// then the [`copy destination`](Self::copy_dst) if there is one.
+    pub fn row_iter(&self) -> impl Iterator<Item = RowRef> {
+        std::iter::once(self.source()).chain(self.copy_dst())
+    }
+
+    /// The row this primitive activates and senses: `row`, or a copy's
+    /// `src`.
+    pub fn source(&self) -> RowRef {
         match *self {
             Primitive::Ap { row }
             | Primitive::App { row, .. }
             | Primitive::OApp { row, .. }
             | Primitive::TApp { row, .. }
-            | Primitive::OtApp { row, .. } => vec![row],
-            Primitive::Aap { src, dst }
-            | Primitive::OAap { src, dst }
-            | Primitive::OAppCopy { src, dst, .. } => vec![src, dst],
+            | Primitive::OtApp { row, .. } => row,
+            Primitive::Aap { src, .. }
+            | Primitive::OAap { src, .. }
+            | Primitive::OAppCopy { src, .. } => src,
+        }
+    }
+
+    /// The copy destination this primitive fully overwrites, if any.
+    pub fn copy_dst(&self) -> Option<RowRef> {
+        match *self {
+            Primitive::Aap { dst, .. }
+            | Primitive::OAap { dst, .. }
+            | Primitive::OAppCopy { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    /// This primitive with every row renamed by `f`, in
+    /// [`Primitive::row_iter`] order.
+    pub fn map_rows(&self, mut f: impl FnMut(RowRef) -> RowRef) -> Primitive {
+        match *self {
+            Primitive::Ap { row } => Primitive::Ap { row: f(row) },
+            Primitive::App { row, mode } => Primitive::App { row: f(row), mode },
+            Primitive::OApp { row, mode } => Primitive::OApp { row: f(row), mode },
+            Primitive::TApp { row, mode } => Primitive::TApp { row: f(row), mode },
+            Primitive::OtApp { row, mode } => Primitive::OtApp { row: f(row), mode },
+            Primitive::Aap { src, dst } => {
+                let src = f(src);
+                Primitive::Aap { src, dst: f(dst) }
+            }
+            Primitive::OAap { src, dst } => {
+                let src = f(src);
+                Primitive::OAap { src, dst: f(dst) }
+            }
+            Primitive::OAppCopy { src, dst, mode } => {
+                let src = f(src);
+                Primitive::OAppCopy { src, dst: f(dst), mode }
+            }
         }
     }
 

@@ -158,8 +158,9 @@ impl Gate {
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidHandle`] — an expression names a variable with no
-///   input row, or `outputs`/`rows.dsts` lengths differ.
+/// * [`CoreError::UnknownVariable`] — an expression names a variable with
+///   no input row.
+/// * [`CoreError::InvalidHandle`] — `outputs`/`rows.dsts` lengths differ.
 /// * [`CoreError::SynthesisFailed`] — more than [`MAX_VARS`] inputs (the
 ///   exhaustive oracle budget), no compiled gate forms under `mode`, or a
 ///   constant output with no input row to materialize from.
@@ -187,7 +188,7 @@ pub fn synthesize(
     for e in outputs {
         if let Some(max) = e.max_var() {
             if max >= rows.inputs.len() {
-                return Err(CoreError::InvalidHandle(max));
+                return Err(CoreError::UnknownVariable { var: max, inputs: rows.inputs.len() });
             }
         }
     }

@@ -3,7 +3,7 @@
 //! §6.3 of the paper evaluates every memory-resident case study under a
 //! *power constraint*: the power-delivery network and the wordline charge
 //! pumps can only sustain a bounded rate of row activations across the whole
-//! rank (cf. tFAW in JEDEC DDR3, and Shevgoor et al. [12]). Designs whose
+//! rank (cf. tFAW in JEDEC DDR3, and Shevgoor et al. \[12\]). Designs whose
 //! commands drive more wordlines — Ambit's TRA above all — exhaust the
 //! budget faster and lose bank-level parallelism.
 //!
@@ -155,6 +155,15 @@ impl PumpWindow {
     pub fn new(budget: PumpBudget) -> Self {
         let window = budget.window.to_ps();
         PumpWindow { budget, window, events: VecDeque::new(), in_window: 0.0 }
+    }
+
+    /// Empties the window and makes it enforce `budget`, keeping the
+    /// admission log's capacity (the scheduler reuses its windows).
+    pub(crate) fn reset(&mut self, budget: &PumpBudget) {
+        self.budget = budget.clone();
+        self.window = budget.window.to_ps();
+        self.events.clear();
+        self.in_window = 0.0;
     }
 
     /// The budget this window enforces.

@@ -32,6 +32,16 @@
 //! the deferral as that command's `pump_stall`. The selection loop runs
 //! on a binary heap keyed by bank-free time, so each step is
 //! `O(log banks)`.
+//!
+//! # Cost
+//!
+//! Input that is already merged — path-sorted, duplicate-free, with no
+//! empty stream, which is what the batch layer passes — is scheduled in
+//! place; anything else is merged first, with the same result. The loop's
+//! working vectors (dense pump/bus indices, pump windows, cursors, the
+//! ready heap) are kept per thread and reused, so a warm call allocates
+//! only the [`Schedule`] it returns: its command trace, its `bank_done`
+//! and `rank_stats` vectors, and each [`RunStats`]' class-count map.
 
 use crate::command::CommandProfile;
 use crate::constraint::{PumpBudget, PumpWindow};
@@ -42,6 +52,7 @@ use crate::power::PowerModel;
 use crate::stats::{ClassCounts, RunStats};
 use crate::telemetry::{CommandEvent, NullSink, StallReason, TraceSink};
 use crate::units::{Ns, Ps};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -161,7 +172,6 @@ impl HierarchicalScheduler {
         streams: &[(TopoPath, C)],
         sink: &mut S,
     ) -> Result<Schedule, DramError> {
-        let (budget, power) = (&self.budget, &self.power);
         for (path, _) in streams {
             for component in [path.channel, path.rank, path.bank] {
                 if component >= usize::MAX / 2 {
@@ -172,35 +182,70 @@ impl HierarchicalScheduler {
                 }
             }
         }
-        let entries = merge_streams(streams);
+        // Input that is already merged — path-sorted, duplicate-free, no
+        // empty stream, as the batch layer passes it — schedules as is.
+        let merged = streams.windows(2).all(|w| w[0].0 < w[1].0)
+            && streams.iter().all(|(_, cmds)| !cmds.as_ref().is_empty());
+        if merged {
+            return Ok(self.schedule_merged(streams, sink));
+        }
+        let entries: Vec<(TopoPath, Vec<CommandProfile>)> = merge_streams(streams)
+            .into_iter()
+            .map(|(path, cmds)| (path, cmds.into_iter().cloned().collect()))
+            .collect();
+        Ok(self.schedule_merged(&entries, sink))
+    }
+
+    /// The scheduling loop over merged `entries` (path-sorted,
+    /// duplicate-free, none empty). Its working vectors come from this
+    /// thread's [`Scratch`], so a warm call allocates only the
+    /// [`Schedule`] it returns.
+    fn schedule_merged<C: AsRef<[CommandProfile]>, S: TraceSink + ?Sized>(
+        &self,
+        entries: &[(TopoPath, C)],
+        sink: &mut S,
+    ) -> Schedule {
+        let (budget, power) = (&self.budget, &self.power);
+        // Taken, not borrowed: a sink that schedules re-entrantly gets a
+        // fresh scratch instead of a borrow panic.
+        let mut scratch = SCRATCH.with(RefCell::take);
+        let Scratch { resources, pumps, rank_counts, last_issue, bank_free, cursors, ready } =
+            &mut scratch;
 
         // One pump window per (channel, rank); one bus cursor per channel.
-        let Resources { slots, ranks, channels } = Resources::of(entries.iter().map(|(p, _)| *p));
-        let mut pumps: Vec<PumpWindow> =
-            (0..ranks.len()).map(|_| PumpWindow::new(budget.clone())).collect();
-        let mut rank_stats: Vec<RunStats> = (0..ranks.len()).map(|_| RunStats::new()).collect();
+        resources.fill(entries.iter().map(|(p, _)| *p));
+        let Resources { slots, ranks, channels } = &*resources;
+        let ranks_n = ranks.len();
+        if pumps.len() < ranks_n {
+            pumps.resize_with(ranks_n, || PumpWindow::new(budget.clone()));
+        }
+        for pump in &mut pumps[..ranks_n] {
+            pump.reset(budget);
+        }
+        let mut rank_stats: Vec<((usize, usize), RunStats)> =
+            ranks.iter().map(|&id| (id, RunStats::new())).collect();
         // Class counters fold into the stats' string-keyed maps once, after
         // the loop; time and energy still accrue per command, in order.
         let mut counts = ClassCounts::default();
-        let mut rank_counts = vec![ClassCounts::default(); ranks.len()];
-        let mut last_issue: Vec<Ps> = vec![Ps::ZERO; channels];
-
-        let mut bank_free: Vec<Ps> = vec![Ps::ZERO; entries.len()];
-        let mut cursors = vec![0usize; entries.len()];
+        reset(rank_counts, ranks_n, ClassCounts::default());
+        reset(last_issue, *channels, Ps::ZERO);
+        reset(bank_free, entries.len(), Ps::ZERO);
+        reset(cursors, entries.len(), 0);
         let mut stats = RunStats::new();
-        let mut commands = Vec::with_capacity(entries.iter().map(|(_, v)| v.len()).sum());
+        let mut commands = Vec::with_capacity(entries.iter().map(|(_, v)| v.as_ref().len()).sum());
 
         // Ready queue keyed by bank-free time, then path order (entries are
         // path-sorted, so the index is the tie-break). A bank's free time
         // only changes when it issues, at which point it is re-pushed with
         // its new key — so the heap top is always the pending command with
         // the earliest bank-free time, lowest path first.
-        let mut ready: BinaryHeap<Reverse<(Ps, usize)>> =
-            (0..entries.len()).map(|i| Reverse((Ps::ZERO, i))).collect();
+        ready.clear();
+        ready.extend((0..entries.len()).map(|i| Reverse((Ps::ZERO, i))));
 
         while let Some(Reverse((free, i))) = ready.pop() {
             let (path, cmds) = &entries[i];
-            let profile = cmds[cursors[i]];
+            let cmds = cmds.as_ref();
+            let profile = &cmds[cursors[i]];
             let (rank, channel) = slots[i];
 
             // In-order issue on this channel's bus, then per-rank pump
@@ -223,7 +268,7 @@ impl HierarchicalScheduler {
             let energy = power.command_energy(profile);
             counts.bump(profile.class);
             rank_counts[rank].bump(profile.class);
-            for s in [&mut stats, &mut rank_stats[rank]] {
+            for s in [&mut stats, &mut rank_stats[rank].1] {
                 s.accrue(profile.duration, profile.total_wordline_events, energy);
                 s.pump_stall += pump_wait.to_ns();
                 s.makespan = Ns(s.makespan.as_f64().max(done.to_ns().as_f64()));
@@ -276,16 +321,39 @@ impl HierarchicalScheduler {
         // checked in `tests/stats_properties.rs`).
         counts.add_to(&mut stats);
         stats.background_energy = power.background_energy(stats.makespan, 1.0);
-        for (s, c) in rank_stats.iter_mut().zip(&rank_counts) {
+        for ((_, s), c) in rank_stats.iter_mut().zip(rank_counts.iter()) {
             c.add_to(s);
             s.background_energy = power.background_energy(s.makespan, 1.0);
         }
 
-        let bank_done =
-            entries.iter().enumerate().map(|(i, (path, _))| (*path, bank_free[i])).collect();
-        let rank_stats = ranks.into_iter().zip(rank_stats).collect();
-        Ok(Schedule { commands, stats, bank_done, rank_stats })
+        let bank_done = entries.iter().zip(bank_free.iter()).map(|((p, _), &t)| (*p, t)).collect();
+        SCRATCH.with(|cell| cell.replace(scratch));
+        Schedule { commands, stats, bank_done, rank_stats }
     }
+}
+
+/// Empties `v` and refills it with `n` copies of `value`, keeping its
+/// capacity.
+fn reset<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+}
+
+/// The scheduling loop's working vectors, kept per thread so that warm
+/// calls reuse their capacity.
+#[derive(Default)]
+struct Scratch {
+    resources: Resources,
+    pumps: Vec<PumpWindow>,
+    rank_counts: Vec<ClassCounts>,
+    last_issue: Vec<Ps>,
+    bank_free: Vec<Ps>,
+    cursors: Vec<usize>,
+    ready: BinaryHeap<Reverse<(Ps, usize)>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Merges streams for scheduling and verification alike: duplicate paths
@@ -307,6 +375,7 @@ pub(crate) fn merge_streams<S: AsRef<[CommandProfile]>>(
 
 /// Dense pump-window and bus indices over path-sorted banks, resolved once
 /// so per-command loops index plain vectors instead of looking paths up.
+#[derive(Default)]
 pub(crate) struct Resources {
     /// Per bank, in input order: its `(pump window, bus)` index pair.
     pub(crate) slots: Vec<(usize, usize)>,
@@ -317,27 +386,35 @@ pub(crate) struct Resources {
 }
 
 impl Resources {
-    /// Resolves `paths`, which must be sorted. Sorted input makes
-    /// first-seen order the sorted order, so a change from the previous
-    /// path is all the deduplication needed.
+    /// Resolves `paths`, which must be sorted.
     pub(crate) fn of(paths: impl Iterator<Item = TopoPath>) -> Self {
-        let mut slots = Vec::new();
-        let mut ranks: Vec<(usize, usize)> = Vec::new();
-        let mut channels: Vec<usize> = Vec::new();
+        let mut resources = Resources::default();
+        resources.fill(paths);
+        resources
+    }
+
+    /// [`Resources::of`] into `self`, reusing its vectors. Sorted input
+    /// makes first-seen order the sorted order, so a change from the
+    /// previous path is all the deduplication needed.
+    pub(crate) fn fill(&mut self, paths: impl Iterator<Item = TopoPath>) {
+        self.slots.clear();
+        self.ranks.clear();
+        self.channels = 0;
+        let mut last_channel = None;
         for path in paths {
             debug_assert!(
-                ranks.last().is_none_or(|&r| r <= path.rank_id()),
+                self.ranks.last().is_none_or(|&r| r <= path.rank_id()),
                 "paths must be sorted"
             );
-            if ranks.last() != Some(&path.rank_id()) {
-                ranks.push(path.rank_id());
+            if self.ranks.last() != Some(&path.rank_id()) {
+                self.ranks.push(path.rank_id());
             }
-            if channels.last() != Some(&path.channel) {
-                channels.push(path.channel);
+            if last_channel != Some(path.channel) {
+                last_channel = Some(path.channel);
+                self.channels += 1;
             }
-            slots.push((ranks.len() - 1, channels.len() - 1));
+            self.slots.push((self.ranks.len() - 1, self.channels - 1));
         }
-        Resources { slots, ranks, channels: channels.len() }
     }
 }
 

@@ -11,6 +11,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (-D warnings) over the project packages (vendored stand-ins excluded)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
+    --exclude rand --exclude proptest --exclude criterion
+
 echo "==> cargo test"
 cargo test --workspace -q
 
